@@ -6,14 +6,21 @@ Matching uses two distances: d_c, plain Euclidean distance, and d_s, a
 weighted L1 distance on the (r, phi, theta) feature triples with the
 azimuth difference wrapped onto the circle.
 
-Queries are deterministic: candidates are re-ranked by (squared
-distance, index) computed with plain numpy arithmetic, so results match
-a brute-force scan exactly, ties resolving to the lowest point index.
+Queries are deterministic: results match a brute-force scan with plain
+numpy arithmetic exactly, ties resolving to the lowest point index. A
+k-NN query takes a window of k + 8 candidates from the k-d tree,
+recomputes their squared distances with numpy, and re-sorts by
+(squared distance, index) only the rows where the tree's order differs
+from that one. A row whose k-th distance ties the window's last is
+settled by a ball query over the whole tie group. A ball query keeps
+the tree's candidates whose numpy squared distance is within the
+squared radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -54,15 +61,19 @@ class SpatialIndex:
         idx = idx.reshape(m, kq)
         diffs = self.points[idx] - queries[:, None, :]
         d2 = np.sum(diffs * diffs, axis=2)
-        rows = np.repeat(np.arange(m), kq)
-        order = np.lexsort((idx.ravel(), d2.ravel(), rows))
-        d2s = d2.ravel()[order].reshape(m, kq)
-        out = idx.ravel()[order].reshape(m, kq)[:, :k].copy()
+        # the tree ranks by its own distance arithmetic; few rows disagree
+        lo, hi = d2[:, :-1], d2[:, 1:]
+        bad = np.nonzero(((hi < lo) | ((hi == lo) & (idx[:, 1:] < idx[:, :-1]))).any(axis=1))[0]
+        if bad.size:
+            order = np.lexsort((idx[bad], d2[bad]), axis=1)
+            idx[bad] = np.take_along_axis(idx[bad], order, axis=1)
+            d2[bad] = np.take_along_axis(d2[bad], order, axis=1)
+        out = idx[:, :k].copy()
         if kq < n:
             # a tie group at the k-th distance may extend past the window
-            unsure = np.nonzero(d2s[:, -1] <= d2s[:, k - 1] * (1.0 + 1e-12))[0]
+            unsure = np.nonzero(d2[:, -1] <= d2[:, k - 1] * (1.0 + 1e-12))[0]
             if unsure.size:
-                radii = np.sqrt(d2s[unsure, k - 1]) * _R_INFLATE
+                radii = np.sqrt(d2[unsure, k - 1]) * _R_INFLATE
                 lists = self._tree.query_ball_point(queries[unsure], radii)
                 for row, cand in zip(unsure, lists):
                     cand = np.asarray(cand, dtype=np.int64)
@@ -73,17 +84,26 @@ class SpatialIndex:
         return out
 
     def ball_batch(self, centers: np.ndarray, radius) -> list[np.ndarray]:
-        """Per-center index arrays of all points within radius (inclusive)."""
+        """Per-center index arrays of all points within radius (inclusive),
+        each ascending."""
         centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-        lists = self._tree.query_ball_point(centers, np.asarray(radius) * _R_INFLATE)
-        r2 = np.square(radius)
-        out = []
-        for c, lst, rr in zip(centers, lists, np.broadcast_to(r2, centers.shape[0])):
-            cand = np.sort(np.asarray(lst, dtype=np.int64))
-            diff = self.points[cand] - c
-            d2 = np.sum(diff * diff, axis=1)
-            out.append(cand[d2 <= rr])
-        return out
+        m = centers.shape[0]
+        lists = self._tree.query_ball_point(centers, np.asarray(radius) * _R_INFLATE,
+                                            return_sorted=True)
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
+        cand = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
+        rows = np.repeat(np.arange(m), counts)
+        diff = self.points[cand] - centers[rows]
+        r2 = np.broadcast_to(np.square(radius), m)
+        keep = np.sum(diff * diff, axis=1) <= r2[rows]
+        kept = np.bincount(rows[keep], minlength=m)
+        return np.split(cand[keep], np.cumsum(kept)[:-1]) if m else []
+
+    def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
+        """Distance from each query point to its nearest indexed point, as
+        the k-d tree computes it."""
+        d, _ = self._tree.query(np.asarray(queries, dtype=float), k=1)
+        return d
 
 
 def knn(index: SpatialIndex, query, k: int) -> np.ndarray:

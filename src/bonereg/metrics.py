@@ -52,7 +52,7 @@ def dice(c: ConfusionCounts) -> float:
 def nn_rmse(points: np.ndarray, target_index: SpatialIndex) -> float:
     """Root mean squared nearest-neighbor distance from points to the
     indexed cloud."""
-    d, _ = target_index._tree.query(np.asarray(points, dtype=float), k=1)
+    d = target_index.nearest_distances(points)
     return float(np.sqrt(np.mean(d * d)))
 
 

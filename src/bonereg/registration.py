@@ -181,8 +181,7 @@ def report_to_dict(report: RegistrationReport) -> dict:
     return {
         "per_iteration_rmse": [float(x) for x in report.per_iteration_rmse],
         "final_transforms": [
-            {"R": [[float(_g17(x)) for x in row] for row in t.rotation],
-             "T": [float(_g17(x)) for x in t.translation]}
+            {"R": t.rotation.tolist(), "T": t.translation.tolist()}
             for t in report.final_transforms
         ],
         "accepted_pairs": int(report.accepted_pairs),
@@ -226,17 +225,29 @@ def _default_r_th(target: PointCloud) -> float:
     return 0.02 * target.bbox_diagonal()
 
 
-def _correspond_arrays(moving_pts, moving_sph, tgt_index, tgt_sph, r_th, weights):
+def _ball_table(index: SpatialIndex, r_th: float) -> tuple[np.ndarray, np.ndarray]:
+    """r_th-ball around every indexed point as CSR (indptr, indices): the
+    ball of point j is indices[indptr[j]:indptr[j + 1]], ascending."""
+    balls = index.ball_batch(index.points, r_th)
+    indptr = np.zeros(len(balls) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, balls), dtype=np.int64, count=len(balls)), out=indptr[1:])
+    return indptr, np.concatenate(balls)
+
+
+def _correspond_arrays(moving_pts, moving_sph, tgt_index, tgt_sph, balls, weights):
     """Two-stage match: Cartesian nearest neighbor, then the minimum
-    feature distance inside the r_th-ball around it. Ties prefer the
-    primary neighbor, then the lowest index. Returns (target_idx, dc, ds)
-    for every moving point."""
+    feature distance inside the r_th-ball around it, read from the
+    target's ball table (_ball_table). Ties prefer the primary neighbor,
+    then the lowest index. Returns (target_idx, dc, ds) for every moving
+    point."""
     n = moving_pts.shape[0]
     primary = tgt_index.knn_batch(moving_pts, 1)[:, 0]
-    balls = tgt_index.ball_batch(tgt_index.points[primary], r_th)
-    counts = np.fromiter((len(b) for b in balls), dtype=np.int64, count=n)
-    flat = np.concatenate(balls) if n else np.zeros(0, dtype=np.int64)
+    indptr, indices = balls
+    starts = indptr[primary]
+    counts = indptr[primary + 1] - starts
     rows = np.repeat(np.arange(n), counts)
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    flat = indices[np.arange(rows.size) + offsets]
     wr, wphi, wtheta = weights
     sa = moving_sph[rows]
     sb = tgt_sph[flat]
@@ -275,7 +286,8 @@ def find_correspondences(source: PointCloud, target: PointCloud,
         raise ValueError("r_th must be positive")
     chosen, dc, ds = _correspond_arrays(source.points, source.features.spherical,
                                         target_index, target.features.spherical,
-                                        float(r_th), tuple(float(w) for w in weights))
+                                        _ball_table(target_index, float(r_th)),
+                                        tuple(float(w) for w in weights))
     return [Correspondence(int(i), int(j), float(a), float(b))
             for i, (j, a, b) in enumerate(zip(chosen, dc, ds))]
 
@@ -302,21 +314,20 @@ def reject_pairs(pairs: list[Correspondence], config: CsnIcpConfig) -> list[Corr
     return [p for p, k in zip(pairs, keep) if k]
 
 
-def _iterate(source: PointCloud, target: PointCloud, config: CsnIcpConfig,
+def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
              make_step) -> RegistrationReport:
-    """Shared ICP loop. make_step(moving_pts, tgt_index) returns
-    (target_idx, keep_mask) for the current moving points.
+    """Shared ICP loop. make_step(moving_pts) returns (target_idx,
+    keep_mask) for the current moving points.
 
     Each iteration solves on the kept pairs, composes the step into the
     running transform and records the full-cloud RMSE. The loop stops on
     |delta RMSE| < tolerance, or reverts the step and stops if the RMSE
     would increase, so the recorded trace never rises.
     """
-    tgt_index = SpatialIndex(target)
     moving = source.points.copy()
     total = RigidTransform.identity()
     if config.center_align:
-        shift = target.points.mean(axis=0) - moving.mean(axis=0)
+        shift = tgt_index.points.mean(axis=0) - moving.mean(axis=0)
         moving = moving + shift
         total = RigidTransform(np.eye(3), shift)
     prev = metrics.nn_rmse(moving, tgt_index)
@@ -325,7 +336,7 @@ def _iterate(source: PointCloud, target: PointCloud, config: CsnIcpConfig,
     converged = False
     accepted = rejected = 0
     for _ in range(config.max_iterations):
-        tgt_idx, keep = make_step(moving, tgt_index)
+        tgt_idx, keep = make_step(moving)
         kept = np.nonzero(keep)[0]
         step = solve_rigid(moving[kept], tgt_index.points[tgt_idx[kept]])
         candidate = step.apply(moving)
@@ -348,32 +359,54 @@ def _iterate(source: PointCloud, target: PointCloud, config: CsnIcpConfig,
                               converged, len(trace), history)
 
 
+@dataclass(frozen=True, eq=False)
+class _CsnTarget:
+    """What csn_icp needs of the target; rigid motion of the source
+    changes none of it, so it is built once per run."""
+
+    index: SpatialIndex
+    sph: np.ndarray
+    balls: tuple[np.ndarray, np.ndarray]
+
+
+def _require_k_points(n_source: int, n_target: int, k: int) -> None:
+    if n_source < k or n_target < k:
+        raise DegenerateGeometryError(
+            f"clouds must have at least k={k} points (got {n_source} and {n_target})")
+
+
+def _csn_target(target: PointCloud, config: CsnIcpConfig) -> _CsnTarget:
+    r_th = config.r_th if config.r_th is not None else _default_r_th(target)
+    index = SpatialIndex(target)
+    _, curv, phi, theta = _feature_arrays(target.points, config.k, index)
+    return _CsnTarget(index, np.column_stack([curv, phi, theta]), _ball_table(index, r_th))
+
+
+def _csn_run(source: PointCloud, tgt: _CsnTarget, config: CsnIcpConfig) -> RegistrationReport:
+    def make_step(moving_pts):
+        _, curv, phi, theta = _feature_arrays(moving_pts, config.k)
+        sph = np.column_stack([curv, phi, theta])
+        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, tgt.index, tgt.sph,
+                                             tgt.balls, config.feature_weights)
+        return tgt_idx, _reject_mask(dc, ds, config)
+
+    return _iterate(source, tgt.index, config, make_step)
+
+
 def csn_icp(source: PointCloud, target: PointCloud,
             config: CsnIcpConfig | None = None) -> RegistrationReport:
     """Register source onto target with feature-refined correspondences
     and median-relative pair rejection.
 
-    Target features are estimated once; source features are re-estimated
+    The target's index, features and r_th-ball table are built once per
+    run: the balls are centred on target points, so they stay fixed
+    while the source moves, and each iteration reads the balls of its
+    primary matches from the table. Source features are re-estimated
     every iteration because normals move with the cloud.
     """
     config = config or CsnIcpConfig()
-    if len(source) < config.k or len(target) < config.k:
-        raise DegenerateGeometryError(
-            f"clouds must have at least k={config.k} points "
-            f"(got {len(source)} and {len(target)})")
-    r_th = config.r_th if config.r_th is not None else _default_r_th(target)
-    tgt_index = SpatialIndex(target)
-    _, t_curv, t_phi, t_theta = _feature_arrays(target.points, config.k, tgt_index)
-    tgt_sph = np.column_stack([t_curv, t_phi, t_theta])
-
-    def make_step(moving_pts, index):
-        _, curv, phi, theta = _feature_arrays(moving_pts, config.k)
-        sph = np.column_stack([curv, phi, theta])
-        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, index, tgt_sph,
-                                             r_th, config.feature_weights)
-        return tgt_idx, _reject_mask(dc, ds, config)
-
-    return _iterate(source, target, config, make_step)
+    _require_k_points(len(source), len(target), config.k)
+    return _csn_run(source, _csn_target(target, config), config)
 
 
 def icp_classic(source: PointCloud, target: PointCloud,
@@ -383,12 +416,13 @@ def icp_classic(source: PointCloud, target: PointCloud,
     config = config or CsnIcpConfig()
     if len(source) == 0 or len(target) == 0:
         raise ValueError("clouds must be non-empty")
+    index = SpatialIndex(target)
 
-    def make_step(moving_pts, index):
+    def make_step(moving_pts):
         tgt_idx = index.knn_batch(moving_pts, 1)[:, 0]
         return tgt_idx, np.ones(len(moving_pts), dtype=bool)
 
-    return _iterate(source, target, config, make_step)
+    return _iterate(source, index, config, make_step)
 
 
 def partition_indices(source: PointCloud, partitions: int) -> list[np.ndarray]:
@@ -407,9 +441,10 @@ def partition_register(source: PointCloud, target: PointCloud,
 
     With partitions=1 this is exactly csn_icp. For multiple bins the
     centroid pre-alignment is disabled (aligning a bin's centroid to the
-    whole target would mis-center it). The reported trace is the RMSE of
-    the union of the transformed bins, with bins that converge early held
-    at their final pose.
+    whole target would mis-center it), and every bin reuses one build of
+    the target's index, features and ball table. The reported trace is
+    the RMSE of the union of the transformed bins, with bins that
+    converge early held at their final pose.
     """
     config = config or CsnIcpConfig()
     if config.partitions == 1:
@@ -418,17 +453,18 @@ def partition_register(source: PointCloud, target: PointCloud,
     if min(b.size for b in bins) < config.k:
         raise DegenerateGeometryError(
             f"a partition holds fewer than k={config.k} points")
+    _require_k_points(bins[0].size, len(target), config.k)
     sub_config = replace(config, partitions=1, center_align=False,
                          record_correspondences=False)
-    reports = [csn_icp(PointCloud(source.points[b]), target, sub_config) for b in bins]
+    tgt = _csn_target(target, sub_config)
+    reports = [_csn_run(PointCloud(source.points[b]), tgt, sub_config) for b in bins]
     sizes = np.array([b.size for b in bins], dtype=float)
     iters = max(r.iterations_used for r in reports)
-    tgt_index = SpatialIndex(target)
     per_bin = []
     for b, rep in zip(bins, reports):
         vals = list(rep.per_iteration_rmse)
         if not vals:
-            vals = [metrics.nn_rmse(rep.final_transforms[0].apply(source.points[b]), tgt_index)]
+            vals = [metrics.nn_rmse(rep.final_transforms[0].apply(source.points[b]), tgt.index)]
         vals += [vals[-1]] * (iters - len(vals))
         per_bin.append(np.array(vals[:iters]) if iters else np.zeros(0))
     if iters:

@@ -335,6 +335,38 @@ def test_partition_register_two_motions():
     assert report.final_rmse < single.final_rmse
 
 
+def test_partition_two_equals_csn_per_bin(monkeypatch):
+    source, target, _, _ = two_motion_instance(12, n=800, angle_deg=6.0)
+    config = CsnIcpConfig(partitions=2)
+    ball_calls = []
+    original = SpatialIndex.ball_batch
+
+    def counted(self, centers, radius):
+        ball_calls.append(len(centers))
+        return original(self, centers, radius)
+
+    monkeypatch.setattr(SpatialIndex, "ball_batch", counted)
+    report = partition_register(source, target, config)
+    assert ball_calls == [len(target)]  # one ball table shared by both bins
+    bins = partition_indices(source, 2)
+    sub = CsnIcpConfig(center_align=False)
+    per_bin = [csn_icp(PointCloud(source.points[b]), target, sub) for b in bins]
+    assert ball_calls == [len(target)] * 3  # and one per csn_icp run
+    for got, rep in zip(report.final_transforms, per_bin):
+        assert np.array_equal(got.rotation, rep.final_transforms[0].rotation)
+        assert np.array_equal(got.translation, rep.final_transforms[0].translation)
+    # the union trace: bins that stopped early hold their last RMSE
+    iters = max(r.iterations_used for r in per_bin)
+    assert report.iterations_used == iters
+    padded = np.array([r.per_iteration_rmse + [r.per_iteration_rmse[-1]] * (iters - r.iterations_used)
+                       for r in per_bin])
+    sizes = np.array([b.size for b in bins], dtype=float)
+    want = np.sqrt((sizes[:, None] * (padded * padded)).sum(axis=0) / sizes.sum())
+    assert report.per_iteration_rmse == list(want)
+    assert report.accepted_pairs == sum(r.accepted_pairs for r in per_bin)
+    assert report.rejected_pairs == sum(r.rejected_pairs for r in per_bin)
+
+
 def test_partition_bin_too_small():
     cloud = make_phantom(PhantomSpec("ellipsoid", 100, 11))
     with pytest.raises(DegenerateGeometryError, match="partition"):
