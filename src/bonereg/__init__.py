@@ -4,14 +4,11 @@ from .cloud import LocalFeatures, PointCloud, load_xyz, save_xyz
 from .mask_io import SliceMask, SliceStack, StackManifest, load_stack, write_stack
 from .volume import (MaskVolume, build_point_cloud, extract_surface,
                      interpolate_z, max_bone_extent_y, scale_factor)
-from .geometry import (NeighborhoodStats, SpatialIndex, d_c, d_s,
-                       estimate_features, jacobi_eigh3, knn,
-                       neighborhood_stats, radius_neighbors)
-from .registration import (Correspondence, CsnIcpConfig, DegenerateGeometryError,
-                           DivergenceError, RegistrationError, RegistrationReport,
-                           RigidTransform, apply_transform, csn_icp,
-                           find_correspondences, icp_classic, partition_indices,
-                           partition_register, reject_pairs, report_to_dict,
+from .geometry import SpatialIndex, d_c, d_s, estimate_features, jacobi_eigh3
+from .registration import (CsnIcpConfig, DegenerateGeometryError, DivergenceError,
+                           RegistrationError, RegistrationReport, RigidTransform,
+                           apply_transform, csn_icp, icp_classic, partition_indices,
+                           partition_register, report_to_dict,
                            rotation_angle_between, solve_rigid)
 from .metrics import (ConfusionCounts, OverlapReport, RasterGrid, binary_close,
                       confusion, d_mr_d_ct, dice, evaluate_slices, iou,
@@ -27,13 +24,11 @@ __all__ = [
     "SliceMask", "SliceStack", "StackManifest", "load_stack", "write_stack",
     "MaskVolume", "build_point_cloud", "extract_surface", "interpolate_z",
     "max_bone_extent_y", "scale_factor",
-    "NeighborhoodStats", "SpatialIndex", "d_c", "d_s", "estimate_features",
-    "jacobi_eigh3", "knn", "neighborhood_stats", "radius_neighbors",
-    "Correspondence", "CsnIcpConfig", "DegenerateGeometryError", "DivergenceError",
+    "SpatialIndex", "d_c", "d_s", "estimate_features", "jacobi_eigh3",
+    "CsnIcpConfig", "DegenerateGeometryError", "DivergenceError",
     "RegistrationError", "RegistrationReport", "RigidTransform", "apply_transform",
-    "csn_icp", "find_correspondences", "icp_classic", "partition_indices",
-    "partition_register", "reject_pairs", "report_to_dict",
-    "rotation_angle_between", "solve_rigid",
+    "csn_icp", "icp_classic", "partition_indices", "partition_register",
+    "report_to_dict", "rotation_angle_between", "solve_rigid",
     "ConfusionCounts", "OverlapReport", "RasterGrid", "binary_close", "confusion",
     "d_mr_d_ct", "dice", "evaluate_slices", "iou", "overlap_report_to_dict",
     "reslice", "rmse",

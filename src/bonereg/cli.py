@@ -1,7 +1,8 @@
 """Command-line frontend binding the pipeline end to end.
 
-Exit codes: 0 success, 1 input or algorithm error, 2 registration hit the
-iteration cap without converging (the report is still written).
+Exit codes: 0 success, 1 input or algorithm error (a malformed or
+wrong-typed --config file included), 2 registration hit the iteration
+cap without converging (the report is still written).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import PointCloud, load_xyz, save_xyz
-from .mask_io import load_stack, write_stack
+from .mask_io import SliceStack, StackManifest, load_stack, write_stack
 from .metrics import evaluate_slices, overlap_report_to_dict, RasterGrid, reslice
 from .registration import (CsnIcpConfig, RegistrationError, csn_icp, icp_classic,
                            partition_indices, partition_register, report_to_dict)
@@ -46,6 +47,8 @@ def _load_config(args) -> CsnIcpConfig:
     values = {}
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise CliError("config file must hold a JSON object")
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -55,8 +58,6 @@ def _load_config(args) -> CsnIcpConfig:
         v = getattr(args, flag, None)
         if v is not None:
             values[key] = v
-    if "feature_weights" in values:
-        values["feature_weights"] = tuple(values["feature_weights"])
     return CsnIcpConfig(**values)
 
 
@@ -153,20 +154,8 @@ def cmd_synth(args) -> int:
 
 def cmd_reslice(args) -> int:
     cloud = load_xyz(args.cloud)
-    if len(cloud) == 0:
-        raise CliError("cloud is empty")
-    pts = cloud.points
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    pitch = args.pixel_pitch
-    if pitch is None:
-        extent = max(hi[0] - lo[0], hi[1] - lo[1])
-        pitch = extent / 128.0 if extent > 0 else 1.0
-    margin = args.closing_iters + 1
-    width = int(np.floor((hi[0] - lo[0]) / pitch)) + 1 + 2 * margin
-    height = int(np.floor((hi[1] - lo[1]) / pitch)) + 1 + 2 * margin
-    grid = RasterGrid(width, height, pitch,
-                      (lo[0] - margin * pitch, lo[1] - margin * pitch))
+    lo, hi = cloud.bounding_box()  # raises on an empty cloud
+    grid = RasterGrid.covering(lo, hi, args.pixel_pitch, args.closing_iters)
     if args.z_center is not None:
         if args.thickness is None:
             raise CliError("--thickness is required with --z-center")
@@ -181,8 +170,7 @@ def cmd_reslice(args) -> int:
     for i, zc in enumerate(centers):
         mask = reslice(cloud, zc, thickness, grid, args.closing_iters)
         masks.append(type(mask)(bits=mask.bits, z_index=i))
-    from .mask_io import SliceStack, StackManifest
-    manifest = StackManifest(modality=args.modality, pixel_spacing_mm=pitch,
+    manifest = StackManifest(modality=args.modality, pixel_spacing_mm=grid.pixel_pitch,
                              slice_spacing_mm=thickness,
                              slice_files=tuple(f"slice_{i:04d}.pgm"
                                                for i in range(len(masks))))

@@ -14,19 +14,18 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class LocalFeatures:
-    """Per-point surface descriptors.
+    """Per-point surface descriptors. Matching compares the
+    (curvature, phi, theta) triples with geometry.d_s.
 
     normals : (n, 3) unit normal vectors
     curvature : (n,) smallest-eigenvalue share of the neighborhood
         covariance trace, in [0, 1/3]
-    r : (n,) radial feature coordinate, equal to curvature
     phi : (n,) azimuth of the normal, in (-pi, pi]
     theta : (n,) elevation of the normal, in [0, pi]
     """
 
     normals: np.ndarray
     curvature: np.ndarray
-    r: np.ndarray
     phi: np.ndarray
     theta: np.ndarray
 
@@ -36,7 +35,7 @@ class LocalFeatures:
             raise ValueError("normals must have shape (n, 3)")
         object.__setattr__(self, "normals", normals)
         n = normals.shape[0]
-        for name in ("curvature", "r", "phi", "theta"):
+        for name in ("curvature", "phi", "theta"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"feature field {name!r} is not parallel to normals")
@@ -45,14 +44,9 @@ class LocalFeatures:
     def __len__(self) -> int:
         return self.normals.shape[0]
 
-    @property
-    def spherical(self) -> np.ndarray:
-        """(n, 3) array of (r, phi, theta) triples."""
-        return np.column_stack([self.r, self.phi, self.theta])
-
     def take(self, idx) -> LocalFeatures:
         return LocalFeatures(self.normals[idx], self.curvature[idx],
-                             self.r[idx], self.phi[idx], self.theta[idx])
+                             self.phi[idx], self.theta[idx])
 
 
 def _first_occurrence(pts: np.ndarray):
@@ -97,9 +91,6 @@ class PointCloud:
     def with_features(self, features: LocalFeatures) -> PointCloud:
         return PointCloud(self.points, features)
 
-    def without_features(self) -> PointCloud:
-        return PointCloud(self.points)
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if len(self) == 0:
             raise ValueError("empty cloud has no bounding box")
@@ -136,6 +127,6 @@ def load_xyz(path) -> PointCloud:
         return PointCloud(arr)
     if arr.shape[1] == 9:
         feats = LocalFeatures(normals=arr[:, 3:6], curvature=arr[:, 6],
-                              r=arr[:, 6].copy(), phi=arr[:, 7], theta=arr[:, 8])
+                              phi=arr[:, 7], theta=arr[:, 8])
         return PointCloud(arr[:, :3], feats)
     raise ValueError(f"{path}: expected 3 or 9 columns, found {arr.shape[1]}")

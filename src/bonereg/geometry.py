@@ -3,8 +3,11 @@
 Each point gets a unit normal and curvature from the eigendecomposition
 of its k-neighborhood covariance, plus the normal's spherical angles.
 Matching uses two distances: d_c, plain Euclidean distance, and d_s, a
-weighted L1 distance on the (r, phi, theta) feature triples with the
-azimuth difference wrapped onto the circle.
+weighted L1 distance on the (curvature, phi, theta) feature triples with
+the azimuth difference wrapped onto the circle.
+
+Every query goes through one batched kernel on SpatialIndex: knn_batch
+for k nearest neighbors, ball_batch for fixed-radius balls.
 
 Queries are deterministic: results match a brute-force scan with plain
 numpy arithmetic exactly, ties resolving to the lowest point index. A
@@ -19,7 +22,6 @@ squared radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -106,21 +108,6 @@ class SpatialIndex:
         return d
 
 
-def knn(index: SpatialIndex, query, k: int) -> np.ndarray:
-    """Indices of the k nearest points to query; equal distances resolve
-    to the lowest index."""
-    q = np.asarray(query, dtype=float).reshape(3)
-    return index.knn_batch(q[None, :], k)[0]
-
-
-def radius_neighbors(index: SpatialIndex, center, r_th: float) -> np.ndarray:
-    """Indices of all points within r_th of center, ascending."""
-    if not r_th > 0:
-        raise ValueError("r_th must be positive")
-    c = np.asarray(center, dtype=float).reshape(3)
-    return index.ball_batch(c[None, :], float(r_th))[0]
-
-
 def jacobi_eigh3(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of symmetric 3x3 matrices by cyclic Jacobi
     rotations, batched over leading dimensions.
@@ -177,27 +164,6 @@ def jacobi_eigh3(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-@dataclass(frozen=True, eq=False)
-class NeighborhoodStats:
-    """Centroid, covariance (sum of outer products of demeaned points),
-    and descending eigenvalues of one neighborhood."""
-
-    centroid: np.ndarray
-    covariance: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def neighborhood_stats(neighbor_pts) -> NeighborhoodStats:
-    nb = np.asarray(neighbor_pts, dtype=float)
-    if nb.ndim != 2 or nb.shape[1] != 3 or nb.shape[0] < 1:
-        raise ValueError("need a (k, 3) neighborhood")
-    centroid = nb.mean(axis=0)
-    centered = nb - centroid
-    cov = centered.T @ centered
-    vals, _ = jacobi_eigh3(cov)
-    return NeighborhoodStats(centroid, cov, vals)
-
-
 def _canonical_sign(normals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Flip normals so they point away from the whole-cloud centroid;
     exact ties fall back to nz >= 0, then ny >= 0, then nx >= 0."""
@@ -240,20 +206,19 @@ def estimate_features(cloud: PointCloud, k: int) -> PointCloud:
 
     The neighborhood of a point includes the point itself. The normal is
     the eigenvector of the smallest covariance eigenvalue, curvature its
-    share of the eigenvalue sum, and (r, phi, theta) the spherical triple
-    built from them (phi from the two-argument arctangent).
+    share of the eigenvalue sum, and (phi, theta) the normal's spherical
+    angles (phi from the two-argument arctangent).
     """
     n = len(cloud)
     if not 3 <= k <= n:
         raise ValueError(f"k={k} outside 3..{n}")
     normals, curvature, phi, theta = _feature_arrays(cloud.points, k)
-    feats = LocalFeatures(normals=normals, curvature=curvature,
-                          r=curvature.copy(), phi=phi, theta=theta)
+    feats = LocalFeatures(normals=normals, curvature=curvature, phi=phi, theta=theta)
     return cloud.with_features(feats)
 
 
 def d_s(a, b, weights=(1.0, 1.0, 1.0)):
-    """Feature-space distance between (r, phi, theta) triples.
+    """Feature-space distance between (curvature, phi, theta) triples.
 
     Weighted sum of absolute differences; the azimuth term is wrapped,
     min(|dphi|, 2*pi - |dphi|), so angles near +/-pi stay close.

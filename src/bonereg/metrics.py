@@ -94,6 +94,22 @@ class RasterGrid:
         if not self.pixel_pitch > 0:
             raise ValueError("pixel pitch must be positive")
 
+    @classmethod
+    def covering(cls, lo, hi, pixel_pitch: float | None = None,
+                 closing_iterations: int = 2) -> RasterGrid:
+        """Grid over the x-y box from lo to hi plus a margin of
+        closing_iterations + 1 pixels on every side, so closing never
+        reaches the border. The default pitch is 1/128 of the larger x-y
+        extent."""
+        if pixel_pitch is None:
+            extent = max(hi[0] - lo[0], hi[1] - lo[1])
+            pixel_pitch = extent / 128.0 if extent > 0 else 1.0
+        margin = closing_iterations + 1
+        width = int(np.floor((hi[0] - lo[0]) / pixel_pitch)) + 1 + 2 * margin
+        height = int(np.floor((hi[1] - lo[1]) / pixel_pitch)) + 1 + 2 * margin
+        return cls(width, height, pixel_pitch,
+                   (lo[0] - margin * pixel_pitch, lo[1] - margin * pixel_pitch))
+
 
 def reslice(cloud: PointCloud, z_center: float, thickness: float,
             grid: RasterGrid, closing_iterations: int = 2) -> SliceMask:
@@ -176,14 +192,7 @@ def evaluate_slices(moving: PointCloud, target: PointCloud,
     step = z_span / slice_count if z_span > 0 else 1.0
     if thickness is None:
         thickness = step
-    if pixel_pitch is None:
-        extent = max(hi[0] - lo[0], hi[1] - lo[1])
-        pixel_pitch = extent / 128.0 if extent > 0 else 1.0
-    margin = closing_iterations + 1
-    width = int(np.floor((hi[0] - lo[0]) / pixel_pitch)) + 1 + 2 * margin
-    height = int(np.floor((hi[1] - lo[1]) / pixel_pitch)) + 1 + 2 * margin
-    grid = RasterGrid(width, height, pixel_pitch,
-                      (lo[0] - margin * pixel_pitch, lo[1] - margin * pixel_pitch))
+    grid = RasterGrid.covering(lo, hi, pixel_pitch, closing_iterations)
     agg = np.zeros(4, dtype=np.int64)
     rows = []
     mr_vals = []

@@ -8,18 +8,23 @@ SVD solve; the classic baseline (icp_classic) uses plain nearest
 neighbors with no refinement or rejection. partition_register splits the
 moving cloud into contiguous x-sorted bins and registers each bin
 independently, modeling articulated motion.
+
+Each step has one kernel, working on whole arrays: _correspond_arrays
+matches every moving point (scored with geometry.d_s and d_c) and
+_reject_mask applies the median-relative thresholds.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cloud import PointCloud
-from .geometry import SpatialIndex, TWO_PI, _feature_arrays
+from .geometry import SpatialIndex, _feature_arrays, d_c, d_s
 from . import metrics
 
 
@@ -109,12 +114,8 @@ def rotation_angle_between(a: RigidTransform, b: RigidTransform) -> float:
     return RigidTransform(a.rotation @ b.rotation.T, np.zeros(3)).rotation_angle()
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    source_index: int
-    target_index: int
-    cartesian_distance: float
-    feature_distance: float
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -135,25 +136,33 @@ class CsnIcpConfig:
     partitions: int = 1
     feature_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     center_align: bool = True
-    record_correspondences: bool = False
 
     def __post_init__(self):
+        for name in ("k", "max_iterations", "partitions"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("dc_reject_multiplier", "ds_reject_multiplier", "rmse_tolerance"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0):
+                raise ValueError(f"{name} must be a positive number")
+        if self.r_th is not None and not (_is_real(self.r_th) and self.r_th > 0):
+            raise ValueError("r_th must be a positive number")
+        if not isinstance(self.center_align, bool):
+            raise ValueError("center_align must be true or false")
         if self.k < 3:
             raise ValueError("k must be at least 3")
-        if self.r_th is not None and not self.r_th > 0:
-            raise ValueError("r_th must be positive")
-        if not (self.dc_reject_multiplier > 0 and self.ds_reject_multiplier > 0):
-            raise ValueError("rejection multipliers must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.rmse_tolerance > 0:
-            raise ValueError("rmse_tolerance must be positive")
         if self.partitions < 1:
             raise ValueError("partitions must be at least 1")
-        w = tuple(float(x) for x in self.feature_weights)
-        if len(w) != 3 or min(w) < 0:
+        try:
+            w = tuple(self.feature_weights)
+        except TypeError:
+            w = ()
+        if len(w) != 3 or not all(map(_is_real, w)) or min(w) < 0:
             raise ValueError("feature_weights must be three non-negative values")
-        object.__setattr__(self, "feature_weights", w)
+        object.__setattr__(self, "feature_weights", tuple(float(x) for x in w))
 
 
 @dataclass
@@ -170,7 +179,6 @@ class RegistrationReport:
     rejected_pairs: int
     converged: bool
     iterations_used: int
-    correspondence_history: list[np.ndarray] | None = None
 
     @property
     def final_rmse(self) -> float | None:
@@ -248,13 +256,7 @@ def _correspond_arrays(moving_pts, moving_sph, tgt_index, tgt_sph, balls, weight
     rows = np.repeat(np.arange(n), counts)
     offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     flat = indices[np.arange(rows.size) + offsets]
-    wr, wphi, wtheta = weights
-    sa = moving_sph[rows]
-    sb = tgt_sph[flat]
-    dphi = np.abs(sa[:, 1] - sb[:, 1])
-    ds_all = (wr * np.abs(sa[:, 0] - sb[:, 0])
-              + wphi * np.minimum(dphi, TWO_PI - dphi)
-              + wtheta * np.abs(sa[:, 2] - sb[:, 2]))
+    ds_all = d_s(moving_sph[rows], tgt_sph[flat], weights)
     not_primary = (flat != primary[rows]).astype(np.int8)
     order = np.lexsort((flat, not_primary, ds_all, rows))
     rows_sorted = rows[order]
@@ -263,36 +265,12 @@ def _correspond_arrays(moving_pts, moving_sph, tgt_index, tgt_sph, balls, weight
     first[1:] = rows_sorted[1:] != rows_sorted[:-1]
     sel = order[first]
     chosen = flat[sel]
-    diff = moving_pts - tgt_index.points[chosen]
-    dc = np.sqrt(np.sum(diff * diff, axis=1))
-    return chosen, dc, ds_all[sel]
-
-
-def find_correspondences(source: PointCloud, target: PointCloud,
-                         target_index: SpatialIndex | None = None,
-                         r_th: float | None = None,
-                         weights=(1.0, 1.0, 1.0)) -> list[Correspondence]:
-    """Feature-refined correspondence of every source point to a target
-    point. Both clouds must carry features."""
-    if source.features is None or target.features is None:
-        raise ValueError("both clouds must carry features")
-    if len(target) == 0:
-        raise ValueError("empty target")
-    if target_index is None:
-        target_index = SpatialIndex(target)
-    if r_th is None:
-        r_th = _default_r_th(target)
-    if not r_th > 0:
-        raise ValueError("r_th must be positive")
-    chosen, dc, ds = _correspond_arrays(source.points, source.features.spherical,
-                                        target_index, target.features.spherical,
-                                        _ball_table(target_index, float(r_th)),
-                                        tuple(float(w) for w in weights))
-    return [Correspondence(int(i), int(j), float(a), float(b))
-            for i, (j, a, b) in enumerate(zip(chosen, dc, ds))]
+    return chosen, d_c(moving_pts, tgt_index.points[chosen]), ds_all[sel]
 
 
 def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.ndarray:
+    """Keep mask of the pairs whose d_c and d_s are within their
+    multiplier times the median over all pairs; at least 3 must survive."""
     tc = math.inf if math.isinf(config.dc_reject_multiplier) \
         else config.dc_reject_multiplier * float(np.median(dc))
     ts = math.inf if math.isinf(config.ds_reject_multiplier) \
@@ -301,17 +279,6 @@ def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.nda
     if keep.sum() < 3:
         raise DivergenceError(f"only {int(keep.sum())} correspondence pairs survived rejection")
     return keep
-
-
-def reject_pairs(pairs: list[Correspondence], config: CsnIcpConfig) -> list[Correspondence]:
-    """Drop pairs whose d_c or d_s exceeds its multiplier times the median
-    over the current pair set; at least 3 pairs must survive."""
-    if not pairs:
-        raise ValueError("no pairs to filter")
-    dc = np.array([p.cartesian_distance for p in pairs])
-    ds = np.array([p.feature_distance for p in pairs])
-    keep = _reject_mask(dc, ds, config)
-    return [p for p, k in zip(pairs, keep) if k]
 
 
 def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
@@ -332,7 +299,6 @@ def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
         total = RigidTransform(np.eye(3), shift)
     prev = metrics.nn_rmse(moving, tgt_index)
     trace: list[float] = []
-    history: list[np.ndarray] | None = [] if config.record_correspondences else None
     converged = False
     accepted = rejected = 0
     for _ in range(config.max_iterations):
@@ -349,14 +315,12 @@ def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
         trace.append(cur)
         accepted = int(kept.size)
         rejected = int(keep.size - kept.size)
-        if history is not None:
-            history.append(np.column_stack([kept, tgt_idx[kept]]))
         if abs(prev - cur) < config.rmse_tolerance:
             converged = True
             break
         prev = cur
     return RegistrationReport(trace, [total], accepted, rejected,
-                              converged, len(trace), history)
+                              converged, len(trace))
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,24 +418,17 @@ def partition_register(source: PointCloud, target: PointCloud,
         raise DegenerateGeometryError(
             f"a partition holds fewer than k={config.k} points")
     _require_k_points(bins[0].size, len(target), config.k)
-    sub_config = replace(config, partitions=1, center_align=False,
-                         record_correspondences=False)
+    sub_config = replace(config, partitions=1, center_align=False)
     tgt = _csn_target(target, sub_config)
     reports = [_csn_run(PointCloud(source.points[b]), tgt, sub_config) for b in bins]
     sizes = np.array([b.size for b in bins], dtype=float)
+    # every run records at least one RMSE; a bin that stopped early holds
+    # its last one
     iters = max(r.iterations_used for r in reports)
-    per_bin = []
-    for b, rep in zip(bins, reports):
-        vals = list(rep.per_iteration_rmse)
-        if not vals:
-            vals = [metrics.nn_rmse(rep.final_transforms[0].apply(source.points[b]), tgt.index)]
-        vals += [vals[-1]] * (iters - len(vals))
-        per_bin.append(np.array(vals[:iters]) if iters else np.zeros(0))
-    if iters:
-        ms = np.array([v * v for v in per_bin])
-        trace = list(np.sqrt((sizes[:, None] * ms).sum(axis=0) / sizes.sum()))
-    else:
-        trace = []
+    per_bin = np.array([r.per_iteration_rmse
+                        + [r.per_iteration_rmse[-1]] * (iters - r.iterations_used)
+                        for r in reports])
+    trace = list(np.sqrt((sizes[:, None] * (per_bin * per_bin)).sum(axis=0) / sizes.sum()))
     return RegistrationReport(
         per_iteration_rmse=trace,
         final_transforms=[r.final_transforms[0] for r in reports],

@@ -40,12 +40,6 @@ class MaskVolume:
             raise ValueError("voxel pitches must be three positive values")
         object.__setattr__(self, "voxel_pitch", pitch)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """(nx, ny, nz)."""
-        nz, ny, nx = self.bits.shape
-        return nx, ny, nz
-
 
 def max_bone_extent_y(stack: SliceStack) -> float:
     """Largest per-slice bone extent along the image row axis, scaled to

@@ -99,6 +99,20 @@ def test_register_non_convergence_exit_2(tmp_path, capsys):
     assert (tmp_path / "r" / "report.json").exists()  # partial output still written
 
 
+@pytest.mark.parametrize("doc", [{"k": "abc"}, {"r_th": "x"}, {"feature_weights": 5},
+                                 {"max_iterations": 2.5}, 7,
+                                 {"record_correspondences": True}])
+def test_register_bad_config_exit_1(tmp_path, capsys, doc):
+    save_xyz(make_phantom(PhantomSpec("ellipsoid", 100, 2)), tmp_path / "a.xyz")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(["register", tmp_path / "a.xyz", tmp_path / "a.xyz",
+                        "--out", tmp_path / "o", "--config", cfg], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_register_partitions_flag(tmp_path, capsys):
     cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 1500, 4))
     save_xyz(cloud, tmp_path / "c.xyz")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bonereg import (PointCloud, RigidTransform, SpatialIndex, d_c, d_s,
-                     estimate_features, jacobi_eigh3, knn, neighborhood_stats,
-                     radius_neighbors)
+                     estimate_features, jacobi_eigh3)
 
 TWO_PI = 2 * np.pi
 
@@ -21,10 +20,11 @@ def brute_radius(pts, center, r):
 def test_knn_simple():
     cloud = PointCloud(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], float))
     index = SpatialIndex(cloud)
-    assert knn(index, (0, 0, 0), 2).tolist() == [0, 1]
-    assert knn(index, (1, 0, 0), 1).tolist() == [1]
+    origin = np.zeros((1, 3))
+    assert index.knn_batch(origin, 2)[0].tolist() == [0, 1]
+    assert index.knn_batch(np.array([[1.0, 0, 0]]), 1)[0].tolist() == [1]
     with pytest.raises(ValueError):
-        knn(index, (0, 0, 0), 4)
+        index.knn_batch(origin, 4)
 
 
 def test_knn_matches_brute_force_random():
@@ -34,7 +34,7 @@ def test_knn_matches_brute_force_random():
     for _ in range(50):
         q = rng.random(3) * 1.2 - 0.1
         k = int(rng.integers(1, 40))
-        assert knn(index, q, k).tolist() == brute_knn(pts, q, k).tolist()
+        assert index.knn_batch(q[None], k)[0].tolist() == brute_knn(pts, q, k).tolist()
 
 
 def test_knn_ties_take_lowest_index_on_grid():
@@ -46,15 +46,16 @@ def test_knn_ties_take_lowest_index_on_grid():
     for _ in range(30):
         q = pts[rng.integers(len(pts))]
         k = int(rng.integers(1, 40))
-        assert knn(index, q, k).tolist() == brute_knn(pts, q, k).tolist()
+        assert index.knn_batch(q[None], k)[0].tolist() == brute_knn(pts, q, k).tolist()
 
 
 def test_radius_line_cloud():
     pts = np.column_stack([np.arange(5, dtype=float), np.zeros(5), np.zeros(5)])
     index = SpatialIndex(PointCloud(pts))
-    assert radius_neighbors(index, (0, 0, 0), 1.5).tolist() == [0, 1]
-    assert radius_neighbors(index, (0.1, 0, 0), 0.05).tolist() == []
-    assert radius_neighbors(index, (0, 0, 0), 1.0).tolist() == [0, 1]  # boundary inclusive
+    origin = np.zeros((1, 3))
+    assert index.ball_batch(origin, 1.5)[0].tolist() == [0, 1]
+    assert index.ball_batch(np.array([[0.1, 0, 0]]), 0.05)[0].tolist() == []
+    assert index.ball_batch(origin, 1.0)[0].tolist() == [0, 1]  # boundary inclusive
 
 
 def test_radius_matches_brute_force_random():
@@ -64,7 +65,7 @@ def test_radius_matches_brute_force_random():
     for _ in range(50):
         c = rng.random(3)
         r = float(rng.uniform(0.01, 0.6))
-        assert radius_neighbors(index, c, r).tolist() == brute_radius(pts, c, r).tolist()
+        assert index.ball_batch(c[None], r)[0].tolist() == brute_radius(pts, c, r).tolist()
 
 
 def test_jacobi_against_numpy():
@@ -94,15 +95,6 @@ def test_jacobi_single_matrix_and_zero():
     assert np.allclose(np.abs(vecs), np.eye(3))
 
 
-def test_neighborhood_stats_square():
-    # hand oracle: four corner points of a unit square in the z=0 plane
-    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
-    stats = neighborhood_stats(pts)
-    assert np.allclose(stats.centroid, [0.5, 0.5, 0.0])
-    assert np.allclose(stats.covariance, np.diag([1.0, 1.0, 0.0]))
-    assert np.allclose(stats.eigenvalues, [1.0, 1.0, 0.0])
-
-
 def test_features_planar_cloud():
     rng = np.random.default_rng(2)
     pts = np.column_stack([rng.random(100), rng.random(100), np.zeros(100)])
@@ -113,7 +105,6 @@ def test_features_planar_cloud():
     assert np.allclose(f.normals[:, 2], 1.0)  # canonical sign picks +z
     assert np.allclose(f.theta, 0.0)
     assert np.allclose(f.phi, 0.0)
-    assert np.allclose(f.r, f.curvature)
 
 
 def test_features_four_point_plane():

@@ -3,11 +3,11 @@ import pytest
 
 from bonereg import (CsnIcpConfig, DegenerateGeometryError, DivergenceError,
                      PointCloud, RigidTransform, apply_transform, csn_icp,
-                     estimate_features, find_correspondences, icp_classic,
-                     make_phantom, partition_indices, partition_register, perturb,
-                     reject_pairs, rotation_angle_between, solve_rigid,
+                     icp_classic, make_phantom, partition_indices, partition_register,
+                     perturb, rotation_angle_between, solve_rigid,
                      PerturbationSpec, PhantomSpec, SpatialIndex)
-from bonereg.registration import Correspondence
+from bonereg.geometry import _feature_arrays
+from bonereg.registration import _ball_table, _correspond_arrays, _reject_mask
 
 
 def unit(v):
@@ -93,18 +93,26 @@ def test_solve_rigid_local_optimality():
         assert r2 >= best - 1e-12
 
 
-def make_featured(pts, k=4):
-    return estimate_features(PointCloud(pts), k)
+def spherical(pts, k):
+    """(curvature, phi, theta) rows of every point's k-neighborhood."""
+    _, curv, phi, theta = _feature_arrays(pts, k)
+    return np.column_stack([curv, phi, theta])
+
+
+def correspond(src_pts, src_sph, tgt_pts, tgt_sph, r_th, weights=(1.0, 1.0, 1.0)):
+    index = SpatialIndex(tgt_pts)
+    return _correspond_arrays(src_pts, src_sph, index, tgt_sph,
+                              _ball_table(index, r_th), weights)
 
 
 def test_correspondences_self_match():
     rng = np.random.default_rng(4)
-    cloud = make_featured(rng.normal(size=(30, 3)), k=5)
-    pairs = find_correspondences(cloud, cloud, r_th=0.5)
-    for p in pairs:
-        assert p.source_index == p.target_index
-        assert p.cartesian_distance == 0.0
-        assert p.feature_distance == 0.0
+    pts = rng.normal(size=(30, 3))
+    sph = spherical(pts, 5)
+    chosen, dc, ds = correspond(pts, sph, pts, sph, r_th=0.5)
+    assert chosen.tolist() == list(range(30))
+    assert (dc == 0.0).all()
+    assert (ds == 0.0).all()
 
 
 def test_correspondences_refinement_prefers_feature_match():
@@ -112,84 +120,60 @@ def test_correspondences_refinement_prefers_feature_match():
     # refinement ball with a near-identical descriptor
     src_pts = np.array([[0, 0, 0], [5, 5, 5], [5, 5, -5], [-5, 5, 5]], float)
     tgt_pts = np.array([[0.1, 0, 0], [0.12, 0.1, 0], [5, 5, 5], [5, 5, -5], [-5, 5, 5]], float)
-    src = PointCloud(src_pts)
-    tgt = PointCloud(tgt_pts)
-    from bonereg.cloud import LocalFeatures
-
-    def feats(sph):
-        sph = np.asarray(sph, float)
-        n = len(sph)
-        return LocalFeatures(normals=np.tile([0.0, 0.0, 1.0], (n, 1)),
-                             curvature=sph[:, 0], r=sph[:, 0],
-                             phi=sph[:, 1], theta=sph[:, 2])
-
-    src = src.with_features(feats([[0.1, 0.0, 0.0]] * 4))
-    tgt = tgt.with_features(feats([[0.3, 0.5, 0.3],     # A: ds = 0.2+0.5+0.3 = 1.0
-                                   [0.15, 0.0, 0.05],   # B: ds = 0.05+0+0.05 = 0.1
-                                   [0.1, 0.0, 0.0],
-                                   [0.1, 0.0, 0.0],
-                                   [0.1, 0.0, 0.0]]))
-    pairs = find_correspondences(src, tgt, r_th=0.2)
-    assert pairs[0].target_index == 1  # refined away from the primary
-    assert pairs[0].cartesian_distance == pytest.approx(np.sqrt(0.12 ** 2 + 0.01), rel=1e-12)
+    src_sph = np.array([[0.1, 0.0, 0.0]] * 4)
+    tgt_sph = np.array([[0.3, 0.5, 0.3],     # A: ds = 0.2+0.5+0.3 = 1.0
+                        [0.15, 0.0, 0.05],   # B: ds = 0.05+0+0.05 = 0.1
+                        [0.1, 0.0, 0.0],
+                        [0.1, 0.0, 0.0],
+                        [0.1, 0.0, 0.0]])
+    chosen, dc, _ = correspond(src_pts, src_sph, tgt_pts, tgt_sph, r_th=0.2)
+    assert chosen[0] == 1  # refined away from the primary
+    assert dc[0] == pytest.approx(np.sqrt(0.12 ** 2 + 0.01), rel=1e-12)
     # with a ball too small to reach B, the primary wins
-    pairs = find_correspondences(src, tgt, r_th=0.05)
-    assert pairs[0].target_index == 0
+    chosen, _, _ = correspond(src_pts, src_sph, tgt_pts, tgt_sph, r_th=0.05)
+    assert chosen[0] == 0
 
 
 def test_correspondences_degenerate_ball_equals_nearest():
     rng = np.random.default_rng(5)
-    src = make_featured(rng.random((40, 3)), k=5)
-    tgt = make_featured(rng.random((50, 3)) + np.array([0.05, 0, 0]), k=5)
-    tiny = 1e-9
-    index = SpatialIndex(tgt)
-    pairs = find_correspondences(src, tgt, index, r_th=tiny)
+    src_pts = rng.random((40, 3))
+    tgt_pts = rng.random((50, 3)) + np.array([0.05, 0, 0])
+    chosen, _, _ = correspond(src_pts, spherical(src_pts, 5), tgt_pts, spherical(tgt_pts, 5),
+                              r_th=1e-9)
     from test_geometry import brute_knn
-    for p in pairs:
-        assert p.target_index == brute_knn(tgt.points, src.points[p.source_index], 1)[0]
+    for q, j in zip(src_pts, chosen):
+        assert j == brute_knn(tgt_pts, q, 1)[0]
 
 
-def test_correspondences_require_features():
-    plain = PointCloud(np.random.default_rng(0).random((10, 3)))
-    with pytest.raises(ValueError, match="features"):
-        find_correspondences(plain, plain)
-
-
-def make_pairs(dc_values, ds_values=None):
-    ds_values = ds_values if ds_values is not None else [0.0] * len(dc_values)
-    return [Correspondence(i, i, float(a), float(b))
-            for i, (a, b) in enumerate(zip(dc_values, ds_values))]
+def reject(dc_values, ds_values=None, config=CsnIcpConfig()):
+    dc = np.array(dc_values, float)
+    ds = np.zeros_like(dc) if ds_values is None else np.array(ds_values, float)
+    return _reject_mask(dc, ds, config)
 
 
 def test_reject_keeps_all_at_median():
-    pairs = make_pairs([1.0] * 20, [0.5] * 20)
-    assert len(reject_pairs(pairs, CsnIcpConfig())) == 20
+    assert reject([1.0] * 20, [0.5] * 20).sum() == 20
 
 
 def test_reject_drops_outlier():
-    pairs = make_pairs([1.0] * 100 + [100.0])
-    kept = reject_pairs(pairs, CsnIcpConfig())
-    assert len(kept) == 100
-    assert all(p.cartesian_distance == 1.0 for p in kept)
+    keep = reject([1.0] * 100 + [100.0])
+    assert keep[:100].all() and not keep[100]
 
 
 def test_reject_too_few_survivors():
     # median 0 makes the cutoff 0, so only the two exact matches survive
-    pairs = make_pairs([0.0, 0.0, 1.0])
     with pytest.raises(DivergenceError, match="2"):
-        reject_pairs(pairs, CsnIcpConfig())
+        reject([0.0, 0.0, 1.0])
 
 
 def test_reject_all_zero_distances():
-    pairs = make_pairs([0.0] * 10)
-    assert len(reject_pairs(pairs, CsnIcpConfig())) == 10
+    assert reject([0.0] * 10).sum() == 10
 
 
 def test_reject_infinite_multipliers_keep_everything():
-    pairs = make_pairs([0.0] * 10 + [5.0], [0.0] * 11)
     config = CsnIcpConfig(dc_reject_multiplier=float("inf"),
                           ds_reject_multiplier=float("inf"))
-    assert len(reject_pairs(pairs, config)) == 11
+    assert reject([0.0] * 10 + [5.0], [0.0] * 11, config).sum() == 11
 
 
 def test_apply_transform_identity_and_isometry():
@@ -261,13 +245,15 @@ def test_degenerate_config_reduces_to_classic():
     target, _ = perturb(cloud, spec)
     config = CsnIcpConfig(feature_weights=(0.0, 0.0, 0.0),
                           dc_reject_multiplier=float("inf"),
-                          ds_reject_multiplier=float("inf"),
-                          record_correspondences=True)
+                          ds_reject_multiplier=float("inf"))
     a = csn_icp(cloud, target, config)
     b = icp_classic(cloud, target, config)
     assert a.iterations_used == b.iterations_used
-    for pa, pb in zip(a.correspondence_history, b.correspondence_history):
-        assert np.array_equal(pa, pb)
+    assert a.per_iteration_rmse == b.per_iteration_rmse
+    assert (a.accepted_pairs, a.rejected_pairs) == (b.accepted_pairs, b.rejected_pairs)
+    for ta, tb in zip(a.final_transforms, b.final_transforms, strict=True):
+        assert np.array_equal(ta.rotation, tb.rotation)
+        assert np.array_equal(ta.translation, tb.translation)
 
 
 def test_icp_classic_identity_and_recovery():
@@ -390,3 +376,20 @@ def test_config_validation():
         CsnIcpConfig(partitions=0)
     with pytest.raises(ValueError):
         CsnIcpConfig(feature_weights=(1.0, -0.5, 1.0))
+
+
+@pytest.mark.parametrize("values", [
+    {"k": "abc"}, {"k": True}, {"k": 20.0}, {"max_iterations": 2.5},
+    {"partitions": None}, {"r_th": "x"}, {"dc_reject_multiplier": False},
+    {"rmse_tolerance": [1e-6]}, {"feature_weights": 5}, {"feature_weights": ("1", 1, 1)},
+    {"center_align": "no"},
+])
+def test_config_rejects_wrong_types(values):
+    with pytest.raises(ValueError, match=next(iter(values))):
+        CsnIcpConfig(**values)
+
+
+def test_config_normalizes_weights():
+    config = CsnIcpConfig(k=np.int64(5), r_th=1, feature_weights=[1, 0.5, np.float64(2)])
+    assert config.feature_weights == (1.0, 0.5, 2.0)
+    assert all(type(w) is float for w in config.feature_weights)
