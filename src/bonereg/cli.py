@@ -89,21 +89,15 @@ def cmd_register(args) -> int:
         report = partition_register(source, target, config)
     else:
         report = csn_icp(source, target, config)
-    if config.partitions > 1:
-        moved = np.empty_like(source.points)
-        for b, t in zip(partition_indices(source, config.partitions),
-                        report.final_transforms):
-            moved[b] = t.apply(source.points[b])
-        registered = PointCloud(moved)
-    else:
-        registered = PointCloud(report.final_transforms[0].apply(source.points))
+    moved = np.empty_like(source.points)
+    for b, t in zip(partition_indices(source, config.partitions), report.final_transforms):
+        moved[b] = t.apply(source.points[b])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report_to_dict(report))
-    save_xyz(registered, out / "registered.xyz")
-    final = report.final_rmse
+    save_xyz(PointCloud(moved), out / "registered.xyz")
     print(f"converged: {report.converged} after {report.iterations_used} iterations")
-    print(f"final rmse: {'n/a' if final is None else format(final, '.9g')}")
+    print(f"final rmse: {report.final_rmse:.9g}")
     return 0 if report.converged else 2
 
 

@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import LocalFeatures, PointCloud
+from .cloud import PointCloud
 
 TWO_PI = 2.0 * np.pi
 
@@ -178,7 +178,13 @@ def _canonical_sign(normals: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _feature_arrays(pts: np.ndarray, k: int, index: SpatialIndex | None = None):
-    """(normals, curvature, phi, theta) arrays for every point of pts."""
+    """(normals, curvature, phi, theta) arrays for every point of pts.
+
+    The k-neighborhood of a point includes the point itself. The normal is
+    the eigenvector of the smallest covariance eigenvalue, curvature its
+    share of the eigenvalue sum, and (phi, theta) the normal's spherical
+    angles (phi from the two-argument arctangent).
+    """
     if index is None:
         index = SpatialIndex(pts)
     nbr = index.knn_batch(pts, k)
@@ -199,22 +205,6 @@ def _feature_arrays(pts: np.ndarray, k: int, index: SpatialIndex | None = None):
     phi = np.where(phi == -np.pi, np.pi, phi)
     phi = np.where((normals[:, 0] == 0.0) & (normals[:, 1] == 0.0), 0.0, phi)
     return normals, curvature, phi, theta
-
-
-def estimate_features(cloud: PointCloud, k: int) -> PointCloud:
-    """Attach per-point features estimated from k-nearest neighborhoods.
-
-    The neighborhood of a point includes the point itself. The normal is
-    the eigenvector of the smallest covariance eigenvalue, curvature its
-    share of the eigenvalue sum, and (phi, theta) the normal's spherical
-    angles (phi from the two-argument arctangent).
-    """
-    n = len(cloud)
-    if not 3 <= k <= n:
-        raise ValueError(f"k={k} outside 3..{n}")
-    normals, curvature, phi, theta = _feature_arrays(cloud.points, k)
-    feats = LocalFeatures(normals=normals, curvature=curvature, phi=phi, theta=theta)
-    return cloud.with_features(feats)
 
 
 def d_s(a, b, weights=(1.0, 1.0, 1.0)):

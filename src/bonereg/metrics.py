@@ -56,15 +56,12 @@ def nn_rmse(points: np.ndarray, target_index: SpatialIndex) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-def rmse(moving: PointCloud, target: PointCloud,
-         target_index: SpatialIndex | None = None) -> float:
+def rmse(moving: PointCloud, target: PointCloud) -> float:
     """Registration residual: for every moving point, the distance to its
     nearest target point, root-mean-squared over the moving cloud only."""
     if len(moving) == 0 or len(target) == 0:
         raise ValueError("empty cloud")
-    if target_index is None:
-        target_index = SpatialIndex(target)
-    return nn_rmse(moving.points, target_index)
+    return nn_rmse(moving.points, SpatialIndex(target))
 
 
 def binary_close(bits: np.ndarray, iterations: int = 2) -> np.ndarray:

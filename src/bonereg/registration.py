@@ -170,7 +170,7 @@ class RegistrationReport:
     """Outcome of one registration run.
 
     per_iteration_rmse holds the nearest-neighbor RMSE after each applied
-    iteration; final_transforms has one entry per partition.
+    iteration, at least one; final_transforms has one entry per partition.
     """
 
     per_iteration_rmse: list[float]
@@ -181,8 +181,8 @@ class RegistrationReport:
     iterations_used: int
 
     @property
-    def final_rmse(self) -> float | None:
-        return self.per_iteration_rmse[-1] if self.per_iteration_rmse else None
+    def final_rmse(self) -> float:
+        return self.per_iteration_rmse[-1]
 
 
 def report_to_dict(report: RegistrationReport) -> dict:
@@ -221,12 +221,6 @@ def solve_rigid(source_pts, target_pts) -> RigidTransform:
     d = np.sign(np.linalg.det(v @ u.T))
     r = v @ np.diag([1.0, 1.0, d]) @ u.T
     return RigidTransform(r, cb - r @ ca)
-
-
-def apply_transform(cloud: PointCloud, t: RigidTransform) -> PointCloud:
-    """Transformed copy of the cloud; features are dropped because normals
-    would need re-estimation."""
-    return PointCloud(t.apply(cloud.points))
 
 
 def _default_r_th(target: PointCloud) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cloud import PointCloud
 from .mask_io import SliceMask, SliceStack, StackManifest
@@ -234,15 +233,12 @@ def perturb(cloud: PointCloud, spec: PerturbationSpec) -> tuple[PointCloud, Rigi
 
 
 def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: float,
-                      modality: str = "MR", closing_iterations: int = 2,
-                      fill_holes: bool = False) -> SliceStack:
+                      modality: str = "MR", closing_iterations: int = 2) -> SliceStack:
     """Bin points to a voxel grid anchored at the cloud's low corner; each
     z bin becomes one slice mask, closed per slice to form solid regions.
 
-    fill_holes additionally floods enclosed background per slice, turning
-    the outline a closed surface rasterizes to into a filled region. The
-    in-plane border is padded by closing_iterations pixels so the closing
-    never clips at the image edge."""
+    The in-plane border is padded by closing_iterations pixels so the
+    closing never clips at the image edge."""
     if not (pixel_pitch > 0 and slice_spacing > 0):
         raise ValueError("pitches must be positive")
     if len(cloud) == 0:
@@ -261,10 +257,7 @@ def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: floa
         bits = np.zeros((height, width), dtype=np.uint8)
         sel = iz == z
         bits[iy[sel] + margin, ix[sel] + margin] = 1
-        bits = binary_close(bits, closing_iterations)
-        if fill_holes:
-            bits = ndimage.binary_fill_holes(bits).astype(np.uint8)
-        slices.append(SliceMask(bits, z_index=z))
+        slices.append(SliceMask(binary_close(bits, closing_iterations), z_index=z))
     manifest = StackManifest(
         modality=modality,
         pixel_spacing_mm=float(pixel_pitch),

@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
+import bonereg
 from bonereg import (PhantomSpec, PointCloud, RigidTransform, load_xyz,
                      make_phantom, save_xyz, voxelize_to_stack, write_stack)
 from bonereg.cli import main
+
+
+def test_public_names_resolve():
+    for name in bonereg.__all__:
+        getattr(bonereg, name)
+    namespace = {}
+    exec("from bonereg import *", namespace)
+    assert set(bonereg.__all__) <= set(namespace)
 
 
 def write_specs(tmp_path, phantom=None, perturbation=None):
@@ -85,6 +94,18 @@ def test_register_two_point_cloud_degenerate(tmp_path, capsys):
                         "--out", tmp_path / "r"], capsys)
     assert code == 1
     assert "k=20" in err
+
+
+def test_register_nine_column_xyz_exit_1(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    np.savetxt(tmp_path / "nine.xyz", rng.random((30, 9)), fmt="%.9g")
+    with pytest.raises(ValueError, match="expected 3 columns, found 9"):
+        load_xyz(tmp_path / "nine.xyz")
+    code, _, err = run(["register", tmp_path / "nine.xyz", tmp_path / "nine.xyz",
+                        "--out", tmp_path / "r"], capsys)
+    assert code == 1
+    assert "expected 3 columns" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_register_non_convergence_exit_2(tmp_path, capsys):

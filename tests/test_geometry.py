@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bonereg import (PointCloud, RigidTransform, SpatialIndex, d_c, d_s,
-                     estimate_features, jacobi_eigh3)
+from bonereg import PointCloud, RigidTransform, SpatialIndex, d_c, d_s, jacobi_eigh3
+from bonereg.geometry import _feature_arrays
 
 TWO_PI = 2 * np.pi
 
@@ -98,21 +98,19 @@ def test_jacobi_single_matrix_and_zero():
 def test_features_planar_cloud():
     rng = np.random.default_rng(2)
     pts = np.column_stack([rng.random(100), rng.random(100), np.zeros(100)])
-    cloud = estimate_features(PointCloud(pts), 12)
-    f = cloud.features
-    assert f.curvature.max() < 1e-9
-    assert np.allclose(np.abs(f.normals[:, 2]), 1.0)
-    assert np.allclose(f.normals[:, 2], 1.0)  # canonical sign picks +z
-    assert np.allclose(f.theta, 0.0)
-    assert np.allclose(f.phi, 0.0)
+    normals, curvature, phi, theta = _feature_arrays(pts, 12)
+    assert curvature.max() < 1e-9
+    assert np.allclose(np.abs(normals[:, 2]), 1.0)
+    assert np.allclose(normals[:, 2], 1.0)  # canonical sign picks +z
+    assert np.allclose(theta, 0.0)
+    assert np.allclose(phi, 0.0)
 
 
 def test_features_four_point_plane():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
-    cloud = estimate_features(PointCloud(pts), 4)
-    f = cloud.features
-    assert np.allclose(np.abs(f.normals[:, 2]), 1.0)
-    assert np.allclose(f.curvature, 0.0)
+    normals, curvature, _, _ = _feature_arrays(pts, 4)
+    assert np.allclose(np.abs(normals[:, 2]), 1.0)
+    assert np.allclose(curvature, 0.0)
 
 
 def test_features_sphere_normals_radial():
@@ -121,47 +119,37 @@ def test_features_sphere_normals_radial():
     ang = rng.uniform(0, TWO_PI, 2000)
     r = np.sqrt(1 - z * z)
     pts = np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
-    cloud = estimate_features(PointCloud(pts), 20)
-    radial = cloud.points
-    cos = np.abs(np.einsum("ni,ni->n", cloud.features.normals, radial)).clip(0, 1)
+    normals = _feature_arrays(pts, 20)[0]
+    cos = np.abs(np.einsum("ni,ni->n", normals, pts)).clip(0, 1)
     # random sampling: radial within a loose bound, outward on average
     assert np.arccos(cos).max() < 0.15
-    assert (np.einsum("ni,ni->n", cloud.features.normals, radial) > 0).all()
+    assert (np.einsum("ni,ni->n", normals, pts) > 0).all()
 
 
 def test_features_invariants():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(500, 3))
-    cloud = estimate_features(PointCloud(pts), 15)
-    f = cloud.features
-    assert np.allclose(np.linalg.norm(f.normals, axis=1), 1.0, atol=1e-9)
-    assert (f.curvature >= 0).all() and (f.curvature <= 1 / 3 + 1e-15).all()
-    assert (f.theta >= 0).all() and (f.theta <= np.pi).all()
-    assert (f.phi > -np.pi).all() and (f.phi <= np.pi).all()
-    assert np.allclose(f.theta, np.arccos(np.clip(f.normals[:, 2], -1, 1)))
+    normals, curvature, phi, theta = _feature_arrays(pts, 15)
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
+    assert (curvature >= 0).all() and (curvature <= 1 / 3 + 1e-15).all()
+    assert (theta >= 0).all() and (theta <= np.pi).all()
+    assert (phi > -np.pi).all() and (phi <= np.pi).all()
+    assert np.allclose(theta, np.arccos(np.clip(normals[:, 2], -1, 1)))
     # phi consistent with (nx, ny)
-    expected_phi = np.arctan2(f.normals[:, 1], f.normals[:, 0])
-    assert np.allclose(f.phi, expected_phi)
+    expected_phi = np.arctan2(normals[:, 1], normals[:, 0])
+    assert np.allclose(phi, expected_phi)
 
 
 def test_features_rotation_equivariance():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(400, 3)) * np.array([1.0, 0.6, 0.3])
     rot = RigidTransform.from_axis_angle((1, 2, 2), 0.7)
-    a = estimate_features(PointCloud(pts), 12).features.normals
-    b = estimate_features(PointCloud(pts @ rot.rotation.T), 12).features.normals
+    a = _feature_arrays(pts, 12)[0]
+    b = _feature_arrays(pts @ rot.rotation.T, 12)[0]
     rotated = a @ rot.rotation.T
     err = np.minimum(np.linalg.norm(b - rotated, axis=1),
                      np.linalg.norm(b + rotated, axis=1))
     assert err.max() < 1e-9
-
-
-def test_features_k_validation():
-    cloud = PointCloud(np.random.default_rng(0).random((10, 3)))
-    with pytest.raises(ValueError):
-        estimate_features(cloud, 2)
-    with pytest.raises(ValueError):
-        estimate_features(cloud, 11)
 
 
 def test_ds_examples():

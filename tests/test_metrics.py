@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bonereg import (ConfusionCounts, PointCloud, RasterGrid, RigidTransform,
-                     SliceMask, apply_transform, binary_close, confusion,
+                     SliceMask, binary_close, confusion,
                      d_mr_d_ct, dice, evaluate_slices, iou, reslice, rmse)
 
 
@@ -132,7 +132,7 @@ def test_rmse_rigid_invariance():
     target = PointCloud(rng.normal(size=(80, 3)))
     base = rmse(moving, target)
     t = RigidTransform.from_axis_angle((1, 1, 1), 0.8, (0.3, -0.2, 0.9))
-    moved = rmse(apply_transform(moving, t), apply_transform(target, t))
+    moved = rmse(PointCloud(t.apply(moving.points)), PointCloud(t.apply(target.points)))
     assert moved == pytest.approx(base, abs=1e-10)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bonereg import (CsnIcpConfig, DegenerateGeometryError, DivergenceError,
-                     PointCloud, RigidTransform, apply_transform, csn_icp,
+                     PointCloud, RigidTransform, csn_icp,
                      icp_classic, make_phantom, partition_indices, partition_register,
                      perturb, rotation_angle_between, solve_rigid,
                      PerturbationSpec, PhantomSpec, SpatialIndex)
@@ -178,14 +178,12 @@ def test_reject_infinite_multipliers_keep_everything():
 
 def test_apply_transform_identity_and_isometry():
     rng = np.random.default_rng(6)
-    cloud = PointCloud(rng.normal(size=(25, 3)))
-    assert np.array_equal(apply_transform(cloud, RigidTransform.identity()).points,
-                          cloud.points)
+    pts = rng.normal(size=(25, 3))
+    assert np.array_equal(RigidTransform.identity().apply(pts), pts)
     t = RigidTransform.from_axis_angle(unit((3, 1, 2)), 1.2, (0.3, 0.4, 0.5))
-    moved = apply_transform(cloud, t)
-    assert moved.features is None
-    d0 = np.linalg.norm(cloud.points[:12] - cloud.points[12:24], axis=1)
-    d1 = np.linalg.norm(moved.points[:12] - moved.points[12:24], axis=1)
+    moved = t.apply(pts)
+    d0 = np.linalg.norm(pts[:12] - pts[12:24], axis=1)
+    d1 = np.linalg.norm(moved[:12] - moved[12:24], axis=1)
     assert np.allclose(d0, d1, rtol=1e-10)
 
 
