@@ -147,6 +147,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_reslice(args) -> int:
+    if args.slices < 1:
+        raise CliError("--slices must be at least 1")
     cloud = load_xyz(args.cloud)
     lo, hi = cloud.bounding_box()  # raises on an empty cloud
     grid = RasterGrid.covering(lo, hi, args.pixel_pitch, args.closing_iters)

@@ -60,12 +60,14 @@ def save_xyz(cloud: PointCloud, path) -> None:
 
 
 def load_xyz(path) -> PointCloud:
-    """Read an ASCII "x y z" cloud written by save_xyz; any other column
-    count is a ValueError."""
-    rows = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """Read an ASCII "x y z" cloud written by save_xyz; a line with any
+    other column count is a ValueError naming that line."""
+    lines = Path(path).read_text().splitlines()
+    rows = [ln.split() for ln in lines if ln.strip()]
     if not rows:
         return PointCloud(np.zeros((0, 3)))
-    arr = np.array(rows, dtype=float)
-    if arr.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns, found {arr.shape[1]}")
-    return PointCloud(arr)
+    if set(map(len, rows)) != {3}:
+        lineno, width = next((i, len(f)) for i, f in enumerate(map(str.split, lines), 1)
+                             if f and len(f) != 3)
+        raise ValueError(f"{path}, line {lineno}: expected 3 columns, found {width}")
+    return PointCloud(np.array(rows, dtype=float))

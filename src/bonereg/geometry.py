@@ -7,7 +7,8 @@ weighted L1 distance on the (curvature, phi, theta) feature triples with
 the azimuth difference wrapped onto the circle.
 
 Every query goes through one batched kernel on SpatialIndex: knn_batch
-for k nearest neighbors, ball_batch for fixed-radius balls.
+for k nearest neighbors, nearest for the single nearest neighbor and its
+distance, ball_batch for fixed-radius balls.
 
 Queries are deterministic: results match a brute-force scan with plain
 numpy arithmetic exactly, ties resolving to the lowest point index. A
@@ -15,9 +16,14 @@ k-NN query takes a window of k + 8 candidates from the k-d tree,
 recomputes their squared distances with numpy, and re-sorts by
 (squared distance, index) only the rows where the tree's order differs
 from that one. A row whose k-th distance ties the window's last is
-settled by a ball query over the whole tie group. A ball query keeps
-the tree's candidates whose numpy squared distance is within the
-squared radius.
+settled by a ball query over the whole tie group. nearest runs the same
+re-rank and fallback on a window of 2: a point outside the window is at
+least as far as the window's last in the tree's arithmetic, so it can
+only tie the nearest when the window's two numpy distances are within
+1e-12 of each other, and those rows take the fallback. It also returns
+the tree's own nearest distance, the value a k=1 tree query gives. A
+ball query keeps the tree's candidates whose numpy squared distance is
+within the squared radius.
 """
 
 from __future__ import annotations
@@ -53,13 +59,26 @@ class SpatialIndex:
     def knn_batch(self, queries: np.ndarray, k: int) -> np.ndarray:
         """(m, k) neighbor indices for m query points, each row sorted by
         (distance, index)."""
+        return self._ranked(queries, k, _TIE_PAD)[0]
+
+    def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, dist) for m query points: idx the lowest-index nearest
+        neighbor, as knn_batch(queries, 1)[:, 0]; dist the distance to the
+        nearest indexed point as the k-d tree computes it."""
+        idx, dist = self._ranked(queries, 1, 1)
+        return idx[:, 0], dist[:, 0]
+
+    def _ranked(self, queries: np.ndarray, k: int, pad: int):
+        """(m, k) exact neighbor indices from a window of k + pad tree
+        candidates, and the window's (m, k + pad) tree distances in the
+        tree's order."""
         n = len(self)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} outside 1..{n}")
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         m = queries.shape[0]
-        kq = min(k + _TIE_PAD, n)
-        _, idx = self._tree.query(queries, k=kq)
+        kq = min(k + pad, n)
+        dist, idx = self._tree.query(queries, k=kq)
         idx = idx.reshape(m, kq)
         diffs = self.points[idx] - queries[:, None, :]
         d2 = np.sum(diffs * diffs, axis=2)
@@ -83,7 +102,7 @@ class SpatialIndex:
                     dd = np.sum(diff * diff, axis=1)
                     best = np.lexsort((cand, dd))[:k]
                     out[row] = cand[best]
-        return out
+        return out, dist.reshape(m, kq)
 
     def ball_batch(self, centers: np.ndarray, radius) -> list[np.ndarray]:
         """Per-center index arrays of all points within radius (inclusive),
@@ -100,12 +119,6 @@ class SpatialIndex:
         keep = np.sum(diff * diff, axis=1) <= r2[rows]
         kept = np.bincount(rows[keep], minlength=m)
         return np.split(cand[keep], np.cumsum(kept)[:-1]) if m else []
-
-    def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
-        """Distance from each query point to its nearest indexed point, as
-        the k-d tree computes it."""
-        d, _ = self._tree.query(np.asarray(queries, dtype=float), k=1)
-        return d
 
 
 def jacobi_eigh3(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

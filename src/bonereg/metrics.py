@@ -49,11 +49,14 @@ def dice(c: ConfusionCounts) -> float:
     return 2 * c.tp / den
 
 
+def root_mean_square(d: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(d * d)))
+
+
 def nn_rmse(points: np.ndarray, target_index: SpatialIndex) -> float:
     """Root mean squared nearest-neighbor distance from points to the
     indexed cloud."""
-    d = target_index.nearest_distances(points)
-    return float(np.sqrt(np.mean(d * d)))
+    return root_mean_square(target_index.nearest(points)[1])
 
 
 def rmse(moving: PointCloud, target: PointCloud) -> float:
@@ -97,7 +100,12 @@ class RasterGrid:
         """Grid over the x-y box from lo to hi plus a margin of
         closing_iterations + 1 pixels on every side, so closing never
         reaches the border. The default pitch is 1/128 of the larger x-y
-        extent."""
+        extent; a given pitch must be positive and finite, and
+        closing_iterations non-negative."""
+        if closing_iterations < 0:
+            raise ValueError("closing iterations must be non-negative")
+        if pixel_pitch is not None and not 0 < pixel_pitch < np.inf:
+            raise ValueError(f"pixel pitch must be positive and finite, got {pixel_pitch}")
         if pixel_pitch is None:
             extent = max(hi[0] - lo[0], hi[1] - lo[1])
             pixel_pitch = extent / 128.0 if extent > 0 else 1.0

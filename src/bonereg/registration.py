@@ -236,14 +236,13 @@ def _ball_table(index: SpatialIndex, r_th: float) -> tuple[np.ndarray, np.ndarra
     return indptr, np.concatenate(balls)
 
 
-def _correspond_arrays(moving_pts, moving_sph, tgt_index, tgt_sph, balls, weights):
-    """Two-stage match: Cartesian nearest neighbor, then the minimum
-    feature distance inside the r_th-ball around it, read from the
-    target's ball table (_ball_table). Ties prefer the primary neighbor,
-    then the lowest index. Returns (target_idx, dc, ds) for every moving
-    point."""
+def _correspond_arrays(moving_pts, moving_sph, primary, tgt_pts, tgt_sph, balls, weights):
+    """Two-stage match: primary[i] is moving point i's Cartesian nearest
+    neighbor (SpatialIndex.nearest); the match is the minimum feature
+    distance inside the r_th-ball around it, read from the target's ball
+    table (_ball_table). Ties prefer the primary neighbor, then the lowest
+    index. Returns (target_idx, dc, ds) for every moving point."""
     n = moving_pts.shape[0]
-    primary = tgt_index.knn_batch(moving_pts, 1)[:, 0]
     indptr, indices = balls
     starts = indptr[primary]
     counts = indptr[primary + 1] - starts
@@ -259,7 +258,7 @@ def _correspond_arrays(moving_pts, moving_sph, tgt_index, tgt_sph, balls, weight
     first[1:] = rows_sorted[1:] != rows_sorted[:-1]
     sel = order[first]
     chosen = flat[sel]
-    return chosen, d_c(moving_pts, tgt_index.points[chosen]), ds_all[sel]
+    return chosen, d_c(moving_pts, tgt_pts[chosen]), ds_all[sel]
 
 
 def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.ndarray:
@@ -277,13 +276,16 @@ def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.nda
 
 def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
              make_step) -> RegistrationReport:
-    """Shared ICP loop. make_step(moving_pts) returns (target_idx,
-    keep_mask) for the current moving points.
+    """Shared ICP loop. make_step(moving_pts, primary) returns (target_idx,
+    keep_mask) for the current moving points, given each one's nearest
+    target point (primary, from SpatialIndex.nearest).
 
     Each iteration solves on the kept pairs, composes the step into the
-    running transform and records the full-cloud RMSE. The loop stops on
-    |delta RMSE| < tolerance, or reverts the step and stops if the RMSE
-    would increase, so the recorded trace never rises.
+    running transform and records the full-cloud RMSE. One nearest query
+    per candidate pose gives both that RMSE and the next step's primary
+    matches. The loop stops on |delta RMSE| < tolerance, or reverts the
+    step and stops if the RMSE would increase, so the recorded trace
+    never rises.
     """
     moving = source.points.copy()
     total = RigidTransform.identity()
@@ -291,20 +293,22 @@ def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
         shift = tgt_index.points.mean(axis=0) - moving.mean(axis=0)
         moving = moving + shift
         total = RigidTransform(np.eye(3), shift)
-    prev = metrics.nn_rmse(moving, tgt_index)
+    primary, dist = tgt_index.nearest(moving)
+    prev = metrics.root_mean_square(dist)
     trace: list[float] = []
     converged = False
     accepted = rejected = 0
     for _ in range(config.max_iterations):
-        tgt_idx, keep = make_step(moving)
+        tgt_idx, keep = make_step(moving, primary)
         kept = np.nonzero(keep)[0]
         step = solve_rigid(moving[kept], tgt_index.points[tgt_idx[kept]])
         candidate = step.apply(moving)
-        cur = metrics.nn_rmse(candidate, tgt_index)
+        cand_primary, dist = tgt_index.nearest(candidate)
+        cur = metrics.root_mean_square(dist)
         if trace and cur > trace[-1]:
             converged = True
             break
-        moving = candidate
+        moving, primary = candidate, cand_primary
         total = step.compose(total)
         trace.append(cur)
         accepted = int(kept.size)
@@ -341,11 +345,11 @@ def _csn_target(target: PointCloud, config: CsnIcpConfig) -> _CsnTarget:
 
 
 def _csn_run(source: PointCloud, tgt: _CsnTarget, config: CsnIcpConfig) -> RegistrationReport:
-    def make_step(moving_pts):
+    def make_step(moving_pts, primary):
         _, curv, phi, theta = _feature_arrays(moving_pts, config.k)
         sph = np.column_stack([curv, phi, theta])
-        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, tgt.index, tgt.sph,
-                                             tgt.balls, config.feature_weights)
+        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, tgt.index.points,
+                                             tgt.sph, tgt.balls, config.feature_weights)
         return tgt_idx, _reject_mask(dc, ds, config)
 
     return _iterate(source, tgt.index, config, make_step)
@@ -376,9 +380,8 @@ def icp_classic(source: PointCloud, target: PointCloud,
         raise ValueError("clouds must be non-empty")
     index = SpatialIndex(target)
 
-    def make_step(moving_pts):
-        tgt_idx = index.knn_batch(moving_pts, 1)[:, 0]
-        return tgt_idx, np.ones(len(moving_pts), dtype=bool)
+    def make_step(moving_pts, primary):
+        return primary, np.ones(len(moving_pts), dtype=bool)
 
     return _iterate(source, index, config, make_step)
 

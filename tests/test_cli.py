@@ -224,6 +224,32 @@ def test_reslice_command(tmp_path, capsys):
     assert code == 0, err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flags, message", [
+    ("evaluate", ["--pixel-pitch", 0], "pixel pitch"),
+    ("evaluate", ["--pixel-pitch", -0.1], "pixel pitch"),
+    ("evaluate", ["--pixel-pitch", "nan"], "pixel pitch"),
+    ("evaluate", ["--closing-iters", -1], "closing iterations"),
+    ("reslice", ["--pixel-pitch", 0], "pixel pitch"),
+    ("reslice", ["--pixel-pitch", "inf"], "pixel pitch"),
+    ("reslice", ["--closing-iters", -3], "closing iterations"),
+    ("reslice", ["--slices", 0], "--slices"),
+])
+def test_grid_arguments_exit_1(tmp_path, capsys, command, flags, message):
+    save_xyz(make_phantom(PhantomSpec("ellipsoid", 300, 6)), tmp_path / "c.xyz")
+    inputs = [tmp_path / "c.xyz"] * (2 if command == "evaluate" else 1)
+    code, _, err = run([command, *inputs, "--out", tmp_path / "o", *flags], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_xyz_ragged_rows_name_the_line(tmp_path):
+    (tmp_path / "ragged.xyz").write_text("0 0 0\n1 1 1\n\n2 2\n3 3 3\n")
+    with pytest.raises(ValueError, match="line 4: expected 3 columns, found 2"):
+        load_xyz(tmp_path / "ragged.xyz")
+
+
 def test_bad_arguments_exit_1(tmp_path, capsys):
     code, _, err = run(["register", "a.xyz"], capsys)  # missing positional
     assert code == 1

@@ -3,8 +3,10 @@ brute-force loops that use the same numpy distance arithmetic, so results
 must agree exactly, ties included."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from bonereg import SpatialIndex, d_s
 from bonereg.registration import _ball_table, _correspond_arrays
@@ -50,14 +52,37 @@ def knn_cases(draw):
     return pts, draw(queries_for(pts)), draw(st.integers(1, len(pts)))
 
 
+@st.composite
+def nearest_cases(draw):
+    pts = draw(clouds())
+    return pts, draw(queries_for(pts))
+
+
 # the k-d tree returns these two equidistant points highest index first
-@example((np.array([[2.0, 2.0, 1.0], [1.0, 0.0, 2.0]]), np.array([[0.0, 1.0, 0.0]]), 1))
+EQUIDISTANT = (np.array([[2.0, 2.0, 1.0], [1.0, 0.0, 2.0]]), np.array([[0.0, 1.0, 0.0]]))
+
+
+@example(EQUIDISTANT + (1,))
 @given(knn_cases())
 def test_knn_batch_matches_scan(case):
     pts, queries, k = case
     got = SpatialIndex(pts).knn_batch(queries, k)
     want = np.array([brute_knn(pts, q, k) for q in queries])
     assert np.array_equal(got, want)
+
+
+@example(EQUIDISTANT)
+@given(nearest_cases())
+def test_nearest_matches_scan_and_tree(case):
+    pts, queries = case
+    idx, dist = SpatialIndex(pts).nearest(queries)
+    assert idx.tolist() == [brute_knn(pts, q, 1)[0] for q in queries]
+    assert dist.tobytes() == cKDTree(pts).query(queries, k=1)[0].tobytes()
+
+
+def test_nearest_empty_index_raises():
+    with pytest.raises(ValueError, match=r"k=1 outside 1\.\.0"):
+        SpatialIndex(np.zeros((0, 3))).nearest(np.zeros((1, 3)))
 
 
 radii = st.one_of(st.floats(1e-6, 3.0), st.sampled_from([0.5, 1.0, 2.0 ** 0.5, 2.0]))
@@ -100,8 +125,8 @@ def test_correspond_arrays_matches_loop(data, tgt, r, weights):
     moving_sph = data.draw(features(len(moving)))
     tgt_sph = data.draw(features(len(tgt)))
     index = SpatialIndex(tgt)
-    chosen, dc, ds = _correspond_arrays(moving, moving_sph, index, tgt_sph,
-                                        _ball_table(index, r), weights)
+    chosen, dc, ds = _correspond_arrays(moving, moving_sph, index.nearest(moving)[0], tgt,
+                                        tgt_sph, _ball_table(index, r), weights)
     for i, q in enumerate(moving):
         primary = brute_knn(tgt, q, 1)[0]
         ball = brute_ball(tgt, tgt[primary], r)

@@ -101,7 +101,7 @@ def spherical(pts, k):
 
 def correspond(src_pts, src_sph, tgt_pts, tgt_sph, r_th, weights=(1.0, 1.0, 1.0)):
     index = SpatialIndex(tgt_pts)
-    return _correspond_arrays(src_pts, src_sph, index, tgt_sph,
+    return _correspond_arrays(src_pts, src_sph, index.nearest(src_pts)[0], tgt_pts, tgt_sph,
                               _ball_table(index, r_th), weights)
 
 
@@ -233,6 +233,32 @@ def test_report_invariants():
         assert trace[-1] <= trace[0]
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
         assert report.accepted_pairs + report.rejected_pairs == len(cloud)
+
+
+@pytest.mark.parametrize("register", [icp_classic, csn_icp])
+def test_one_nearest_query_per_pose(monkeypatch, register):
+    cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 1200, 4))
+    spec = PerturbationSpec(rotation_axis=(0.0, 1.0, 0.0), rotation_angle=0.2,
+                            translation=(0.03, 0.0, 0.0), noise_sigma=0.002, seed=2)
+    target, _ = perturb(cloud, spec)
+    knn_ks, nearest_calls = [], []
+    knn_batch, nearest = SpatialIndex.knn_batch, SpatialIndex.nearest
+
+    def counted_knn(self, queries, k):
+        knn_ks.append(k)
+        return knn_batch(self, queries, k)
+
+    def counted_nearest(self, queries):
+        nearest_calls.append(len(queries))
+        return nearest(self, queries)
+
+    monkeypatch.setattr(SpatialIndex, "knn_batch", counted_knn)
+    monkeypatch.setattr(SpatialIndex, "nearest", counted_nearest)
+    report = register(cloud, target)
+    assert report.iterations_used > 2
+    assert 1 not in knn_ks
+    # the start pose, then one per candidate pose (a reverted step included)
+    assert len(nearest_calls) <= report.iterations_used + 2
 
 
 def test_degenerate_config_reduces_to_classic():
