@@ -122,10 +122,13 @@ def reslice(cloud: PointCloud, z_center: float, thickness: float,
 
     Points with |z - z_center| <= thickness/2 land in their containing
     pixel; a morphological closing then fills small interior gaps.
-    Points outside the grid are dropped.
+    Points outside the grid are dropped. z_center must be finite and
+    thickness positive and finite.
     """
-    if not thickness > 0:
-        raise ValueError("thickness must be positive")
+    if not np.isfinite(z_center):
+        raise ValueError(f"z center must be finite, got {z_center}")
+    if not 0 < thickness < np.inf:
+        raise ValueError(f"thickness must be positive and finite, got {thickness}")
     pts = cloud.points
     band = np.abs(pts[:, 2] - z_center) <= thickness / 2.0
     ix = np.floor((pts[band, 0] - grid.origin[0]) / grid.pixel_pitch).astype(int)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cloud import PointCloud
-from .geometry import SpatialIndex, _feature_arrays, d_c, d_s
+from .geometry import RigidKnn, SpatialIndex, _feature_arrays, d_c, d_s, kabsch
 from . import metrics
 
 
@@ -146,8 +146,9 @@ class CsnIcpConfig:
             value = getattr(self, name)
             if not (_is_real(value) and value > 0):
                 raise ValueError(f"{name} must be a positive number")
-        if self.r_th is not None and not (_is_real(self.r_th) and self.r_th > 0):
-            raise ValueError("r_th must be a positive number")
+        if self.r_th is not None and not (_is_real(self.r_th) and 0 < self.r_th < math.inf):
+            # an infinite radius would put every target point in every ball
+            raise ValueError("r_th must be a positive finite number")
         if not isinstance(self.center_align, bool):
             raise ValueError("center_align must be true or false")
         if self.k < 3:
@@ -202,8 +203,9 @@ def report_to_dict(report: RegistrationReport) -> dict:
 def solve_rigid(source_pts, target_pts) -> RigidTransform:
     """Least-squares rigid transform mapping source points onto targets.
 
-    Kabsch solve: demean both sets, SVD of the cross-covariance, with a
-    determinant guard so reflections are never returned.
+    Kabsch solve (geometry.kabsch): demean both sets, SVD of the
+    cross-covariance, with a determinant guard so reflections are never
+    returned.
     """
     a = np.asarray(source_pts, dtype=float)
     b = np.asarray(target_pts, dtype=float)
@@ -211,16 +213,10 @@ def solve_rigid(source_pts, target_pts) -> RigidTransform:
         raise ValueError("point lists must both have shape (n, 3)")
     if a.shape[0] < 3:
         raise DegenerateGeometryError("need at least 3 point pairs")
-    ca = a.mean(axis=0)
-    cb = b.mean(axis=0)
-    h = (a - ca).T @ (b - cb)
-    u, sing, vt = np.linalg.svd(h)
+    r, t, sing = kabsch(a, b)
     if sing[1] <= sing[0] * 1e-12:
         raise DegenerateGeometryError("point pairs are collinear or coincident")
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    r = v @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(r, cb - r @ ca)
+    return RigidTransform(r, t)
 
 
 def _default_r_th(target: PointCloud) -> float:
@@ -246,17 +242,22 @@ def _correspond_arrays(moving_pts, moving_sph, primary, tgt_pts, tgt_sph, balls,
     indptr, indices = balls
     starts = indptr[primary]
     counts = indptr[primary + 1] - starts
+    begins = np.cumsum(counts) - counts
     rows = np.repeat(np.arange(n), counts)
-    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    flat = indices[np.arange(rows.size) + offsets]
+    flat = indices[np.arange(rows.size) + np.repeat(starts - begins, counts)]
     ds_all = d_s(moving_sph[rows], tgt_sph[flat], weights)
-    not_primary = (flat != primary[rows]).astype(np.int8)
-    order = np.lexsort((flat, not_primary, ds_all, rows))
-    rows_sorted = rows[order]
-    first = np.empty(order.size, dtype=bool)
-    first[0] = True
-    first[1:] = rows_sorted[1:] != rows_sorted[:-1]
-    sel = order[first]
+    # every ball holds its own centre, so no row is empty; a NaN d_s ranks
+    # last, and a row of NaNs ties throughout
+    best = np.fmin.reduceat(ds_all, begins)[rows]
+    tied = (ds_all == best) | (np.isnan(ds_all) & np.isnan(best))
+    pos = np.flatnonzero(tied)
+    lead = np.ones(pos.size, dtype=bool)
+    lead[1:] = rows[pos[1:]] != rows[pos[:-1]]
+    # balls are ascending, so a row's first tied entry has the lowest
+    # index; a tied primary takes precedence over it
+    sel = pos[lead]
+    hit = tied & (flat == primary[rows])
+    sel[rows[hit]] = np.flatnonzero(hit)
     chosen = flat[sel]
     return chosen, d_c(moving_pts, tgt_pts[chosen]), ds_all[sel]
 
@@ -340,13 +341,16 @@ def _require_k_points(n_source: int, n_target: int, k: int) -> None:
 def _csn_target(target: PointCloud, config: CsnIcpConfig) -> _CsnTarget:
     r_th = config.r_th if config.r_th is not None else _default_r_th(target)
     index = SpatialIndex(target)
-    _, curv, phi, theta = _feature_arrays(target.points, config.k, index)
+    _, curv, phi, theta = _feature_arrays(target.points,
+                                          index.knn_batch(target.points, config.k))
     return _CsnTarget(index, np.column_stack([curv, phi, theta]), _ball_table(index, r_th))
 
 
 def _csn_run(source: PointCloud, tgt: _CsnTarget, config: CsnIcpConfig) -> RegistrationReport:
+    neighbors = RigidKnn(config.k)
+
     def make_step(moving_pts, primary):
-        _, curv, phi, theta = _feature_arrays(moving_pts, config.k)
+        _, curv, phi, theta = _feature_arrays(moving_pts, neighbors(moving_pts))
         sph = np.column_stack([curv, phi, theta])
         tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, tgt.index.points,
                                              tgt.sph, tgt.balls, config.feature_weights)
@@ -364,7 +368,10 @@ def csn_icp(source: PointCloud, target: PointCloud,
     run: the balls are centred on target points, so they stay fixed
     while the source moves, and each iteration reads the balls of its
     primary matches from the table. Source features are re-estimated
-    every iteration because normals move with the cloud.
+    every iteration because normals move with the cloud, but rigid motion
+    keeps each source point's k nearest neighbors: geometry.RigidKnn
+    finds them once per run and certifies them at every later pose,
+    re-querying only rows whose certificate fails.
     """
     config = config or CsnIcpConfig()
     _require_k_points(len(source), len(target), config.k)

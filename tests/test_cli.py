@@ -122,7 +122,8 @@ def test_register_non_convergence_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [{"k": "abc"}, {"r_th": "x"}, {"feature_weights": 5},
                                  {"max_iterations": 2.5}, 7,
-                                 {"record_correspondences": True}])
+                                 {"record_correspondences": True},
+                                 {"r_th": float("inf")}, {"r_th": float("nan")}])
 def test_register_bad_config_exit_1(tmp_path, capsys, doc):
     save_xyz(make_phantom(PhantomSpec("ellipsoid", 100, 2)), tmp_path / "a.xyz")
     cfg = tmp_path / "cfg.json"
@@ -234,6 +235,9 @@ def test_reslice_command(tmp_path, capsys):
     ("reslice", ["--pixel-pitch", "inf"], "pixel pitch"),
     ("reslice", ["--closing-iters", -3], "closing iterations"),
     ("reslice", ["--slices", 0], "--slices"),
+    ("reslice", ["--z-center", "nan", "--thickness", 0.1], "z center"),
+    ("reslice", ["--z-center", 0.0, "--thickness", "inf"], "thickness"),
+    ("evaluate", ["--thickness", "inf"], "thickness"),
 ])
 def test_grid_arguments_exit_1(tmp_path, capsys, command, flags, message):
     save_xyz(make_phantom(PhantomSpec("ellipsoid", 300, 6)), tmp_path / "c.xyz")

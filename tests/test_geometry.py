@@ -7,6 +7,10 @@ from bonereg.geometry import _feature_arrays
 TWO_PI = 2 * np.pi
 
 
+def features(pts, k):
+    return _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
+
+
 def brute_knn(pts, query, k):
     d2 = np.sum((pts - query) ** 2, axis=1)
     return np.lexsort((np.arange(len(pts)), d2))[:k]
@@ -98,7 +102,7 @@ def test_jacobi_single_matrix_and_zero():
 def test_features_planar_cloud():
     rng = np.random.default_rng(2)
     pts = np.column_stack([rng.random(100), rng.random(100), np.zeros(100)])
-    normals, curvature, phi, theta = _feature_arrays(pts, 12)
+    normals, curvature, phi, theta = features(pts, 12)
     assert curvature.max() < 1e-9
     assert np.allclose(np.abs(normals[:, 2]), 1.0)
     assert np.allclose(normals[:, 2], 1.0)  # canonical sign picks +z
@@ -108,7 +112,7 @@ def test_features_planar_cloud():
 
 def test_features_four_point_plane():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
-    normals, curvature, _, _ = _feature_arrays(pts, 4)
+    normals, curvature, _, _ = features(pts, 4)
     assert np.allclose(np.abs(normals[:, 2]), 1.0)
     assert np.allclose(curvature, 0.0)
 
@@ -119,7 +123,7 @@ def test_features_sphere_normals_radial():
     ang = rng.uniform(0, TWO_PI, 2000)
     r = np.sqrt(1 - z * z)
     pts = np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
-    normals = _feature_arrays(pts, 20)[0]
+    normals = features(pts, 20)[0]
     cos = np.abs(np.einsum("ni,ni->n", normals, pts)).clip(0, 1)
     # random sampling: radial within a loose bound, outward on average
     assert np.arccos(cos).max() < 0.15
@@ -129,7 +133,7 @@ def test_features_sphere_normals_radial():
 def test_features_invariants():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(500, 3))
-    normals, curvature, phi, theta = _feature_arrays(pts, 15)
+    normals, curvature, phi, theta = features(pts, 15)
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)
     assert (curvature >= 0).all() and (curvature <= 1 / 3 + 1e-15).all()
     assert (theta >= 0).all() and (theta <= np.pi).all()
@@ -144,8 +148,8 @@ def test_features_rotation_equivariance():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(400, 3)) * np.array([1.0, 0.6, 0.3])
     rot = RigidTransform.from_axis_angle((1, 2, 2), 0.7)
-    a = _feature_arrays(pts, 12)[0]
-    b = _feature_arrays(pts @ rot.rotation.T, 12)[0]
+    a = features(pts, 12)[0]
+    b = features(pts @ rot.rotation.T, 12)[0]
     rotated = a @ rot.rotation.T
     err = np.minimum(np.linalg.norm(b - rotated, axis=1),
                      np.linalg.norm(b + rotated, axis=1))

@@ -95,7 +95,7 @@ def test_solve_rigid_local_optimality():
 
 def spherical(pts, k):
     """(curvature, phi, theta) rows of every point's k-neighborhood."""
-    _, curv, phi, theta = _feature_arrays(pts, k)
+    _, curv, phi, theta = _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
     return np.column_stack([curv, phi, theta])
 
 
@@ -261,6 +261,26 @@ def test_one_nearest_query_per_pose(monkeypatch, register):
     assert len(nearest_calls) <= report.iterations_used + 2
 
 
+@pytest.mark.parametrize("partitions", [1, 2])
+def test_one_moving_tree_per_run(monkeypatch, partitions):
+    cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 1200, 4))
+    spec = PerturbationSpec(rotation_axis=(0.0, 1.0, 0.0), rotation_angle=0.2,
+                            translation=(0.03, 0.0, 0.0), noise_sigma=0.002, seed=2)
+    target, _ = perturb(cloud, spec)
+    builds = []
+    init = SpatialIndex.__init__
+
+    def counted_init(self, points):
+        builds.append(len(points))
+        init(self, points)
+
+    monkeypatch.setattr(SpatialIndex, "__init__", counted_init)
+    report = partition_register(cloud, target, CsnIcpConfig(partitions=partitions))
+    assert report.iterations_used > 2
+    # the target's tree, then one per moving bin at its first pose
+    assert len(builds) == 1 + partitions
+
+
 def test_degenerate_config_reduces_to_classic():
     cloud = make_phantom(PhantomSpec("ellipsoid", 500, 5))
     spec = PerturbationSpec(rotation_axis=tuple(unit((2, 1, 1))),
@@ -406,7 +426,7 @@ def test_config_validation():
     {"k": "abc"}, {"k": True}, {"k": 20.0}, {"max_iterations": 2.5},
     {"partitions": None}, {"r_th": "x"}, {"dc_reject_multiplier": False},
     {"rmse_tolerance": [1e-6]}, {"feature_weights": 5}, {"feature_weights": ("1", 1, 1)},
-    {"center_align": "no"},
+    {"center_align": "no"}, {"r_th": float("inf")}, {"r_th": float("nan")},
 ])
 def test_config_rejects_wrong_types(values):
     with pytest.raises(ValueError, match=next(iter(values))):
