@@ -17,7 +17,7 @@ import numpy as np
 
 from .cloud import PointCloud, load_xyz, save_xyz
 from .mask_io import SliceStack, StackManifest, load_stack, write_stack
-from .metrics import evaluate_slices, overlap_report_to_dict, RasterGrid, reslice
+from .metrics import evaluate_slices, overlap_report_to_dict, RasterGrid, reslice, slice_bands
 from .registration import (CsnIcpConfig, RegistrationError, csn_icp, icp_classic,
                            partition_indices, partition_register, report_to_dict)
 from .synth import (make_phantom, perturb, perturbation_spec_from_dict,
@@ -158,10 +158,8 @@ def cmd_reslice(args) -> int:
         centers = [args.z_center]
         thickness = args.thickness
     else:
-        span = hi[2] - lo[2]
-        step = span / args.slices if span > 0 else 1.0
+        centers, step = slice_bands(lo[2], hi[2], args.slices)
         thickness = args.thickness if args.thickness is not None else step
-        centers = [lo[2] + (i + 0.5) * step for i in range(args.slices)]
     masks = []
     for i, zc in enumerate(centers):
         mask = reslice(cloud, zc, thickness, grid, args.closing_iters)
@@ -239,10 +237,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except RegistrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, CliError) as exc:
+    except (RegistrationError, ValueError, KeyError, OSError, json.JSONDecodeError,
+            CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,8 +26,8 @@ class StackManifest:
         object.__setattr__(self, "slice_files", tuple(self.slice_files))
         if self.modality not in MODALITIES:
             raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if not (self.pixel_spacing_mm > 0 and self.slice_spacing_mm > 0):
-            raise ValueError("pixel and slice spacing must be positive")
+        if not (0 < self.pixel_spacing_mm < np.inf and 0 < self.slice_spacing_mm < np.inf):
+            raise ValueError("pixel and slice spacing must be positive and finite")
         if len(self.slice_files) == 0:
             raise ValueError("manifest lists no slices")
         if len(set(self.slice_files)) != len(self.slice_files):
@@ -50,14 +50,6 @@ class SliceMask:
         object.__setattr__(self, "bits", bits.astype(np.uint8))
         if self.z_index < 0:
             raise ValueError("z_index must be non-negative")
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
 
     def __eq__(self, other):
         if not isinstance(other, SliceMask):

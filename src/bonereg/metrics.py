@@ -20,10 +20,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(pred: SliceMask, truth: SliceMask) -> ConfusionCounts:
     """Per-pixel classification counts of pred against truth."""
@@ -139,17 +135,26 @@ def reslice(cloud: PointCloud, z_center: float, thickness: float,
     return SliceMask(binary_close(bits, closing_iterations), z_index=0)
 
 
+def _outside(inter: int, area: int) -> float:
+    return 1.0 - inter / area
+
+
 def d_mr_d_ct(mr_mask: SliceMask, ct_mask: SliceMask) -> tuple[float, float]:
     """Fraction of each region lying outside the common registration
     region: (1 - |A_MR & A_CT|/|A_MR|, 1 - |A_MR & A_CT|/|A_CT|)."""
-    if mr_mask.bits.shape != ct_mask.bits.shape:
-        raise ValueError("mask dimensions differ")
-    a_mr = int(mr_mask.bits.sum())
-    a_ct = int(ct_mask.bits.sum())
-    if a_mr == 0 or a_ct == 0:
+    c = confusion(mr_mask, ct_mask)
+    if c.tp + c.fp == 0 or c.tp + c.fn == 0:
         raise ValueError("zero-area mask")
-    inter = int((mr_mask.bits & ct_mask.bits).sum())
-    return 1.0 - inter / a_mr, 1.0 - inter / a_ct
+    return _outside(c.tp, c.tp + c.fp), _outside(c.tp, c.tp + c.fn)
+
+
+def slice_bands(z_lo: float, z_hi: float, slice_count: int) -> tuple[list[float], float]:
+    """Centres of slice_count bands tiling [z_lo, z_hi] and their step (1 if flat)."""
+    if slice_count < 1:
+        raise ValueError("slice_count must be at least 1")
+    span = z_hi - z_lo
+    step = span / slice_count if span > 0 else 1.0
+    return [z_lo + (i + 0.5) * step for i in range(slice_count)], step
 
 
 @dataclass
@@ -186,18 +191,16 @@ def evaluate_slices(moving: PointCloud, target: PointCloud,
     """Reslice both clouds over the joint z range and score the overlap.
 
     The moving (MR-side) cloud plays the predicted region, the target
-    (CT-side) cloud the reference. Bands tile the joint z range; the
-    default thickness equals the band step, the default pixel pitch is
-    1/128 of the larger x-y extent.
+    (CT-side) cloud the reference. Bands tile the joint z range
+    (slice_bands); the default thickness equals the band step, the
+    default pixel pitch is 1/128 of the larger x-y extent. A band's areas
+    and intersection are its confusion counts tp + fp, tp + fn and tp.
     """
-    if slice_count < 1:
-        raise ValueError("slice_count must be at least 1")
     rmse_value = rmse(moving, target)
     all_pts = np.vstack([moving.points, target.points])
     lo = all_pts.min(axis=0)
     hi = all_pts.max(axis=0)
-    z_span = hi[2] - lo[2]
-    step = z_span / slice_count if z_span > 0 else 1.0
+    centers, step = slice_bands(lo[2], hi[2], slice_count)
     if thickness is None:
         thickness = step
     grid = RasterGrid.covering(lo, hi, pixel_pitch, closing_iterations)
@@ -205,22 +208,17 @@ def evaluate_slices(moving: PointCloud, target: PointCloud,
     rows = []
     mr_vals = []
     ct_vals = []
-    for i in range(slice_count):
-        z_center = lo[2] + (i + 0.5) * step
+    for z_center in centers:
         mr = reslice(moving, z_center, thickness, grid, closing_iterations)
         ct = reslice(target, z_center, thickness, grid, closing_iterations)
         c = confusion(mr, ct)
         agg += (c.tp, c.fp, c.fn, c.tn)
-        a_mr = int(mr.bits.sum())
-        a_ct = int(ct.bits.sum())
-        inter = int((mr.bits & ct.bits).sum())
+        a_mr, a_ct = c.tp + c.fp, c.tp + c.fn
         row = {"z_center": float(z_center), "a_mr": a_mr, "a_ct": a_ct}
-        if a_mr > 0:
-            row["d_mr"] = 1.0 - inter / a_mr
-            mr_vals.append(row["d_mr"])
-        if a_ct > 0:
-            row["d_ct"] = 1.0 - inter / a_ct
-            ct_vals.append(row["d_ct"])
+        for key, area, vals in (("d_mr", a_mr, mr_vals), ("d_ct", a_ct, ct_vals)):
+            if area > 0:
+                row[key] = _outside(c.tp, area)
+                vals.append(row[key])
         rows.append(row)
     total = ConfusionCounts(*(int(x) for x in agg))
     if not mr_vals or not ct_vals:

@@ -374,6 +374,8 @@ def csn_icp(source: PointCloud, target: PointCloud,
     re-querying only rows whose certificate fails.
     """
     config = config or CsnIcpConfig()
+    if config.partitions > 1:
+        raise ValueError("csn_icp registers one body; partitions > 1 need partition_register")
     _require_k_points(len(source), len(target), config.k)
     return _csn_run(source, _csn_target(target, config), config)
 
@@ -383,6 +385,8 @@ def icp_classic(source: PointCloud, target: PointCloud,
     """Classic point-to-point ICP: nearest-neighbor correspondences, no
     refinement, no rejection, same solve and stopping rule as csn_icp."""
     config = config or CsnIcpConfig()
+    if config.partitions > 1:
+        raise ValueError("icp_classic registers one body; partitions > 1 need partition_register")
     if len(source) == 0 or len(target) == 0:
         raise ValueError("clouds must be non-empty")
     index = SpatialIndex(target)

@@ -19,7 +19,9 @@ the first uniform shifted into (0, 1]:
     g1 <- sqrt(-2 ln u1) * cos(2 pi u2)
     g2 <- sqrt(-2 ln u1) * sin(2 pi u2)
 
-gaussians(n) always consumes whole pairs (ceil(n/2) of them).
+gaussians(n) always consumes whole pairs (ceil(n/2) of them). Outputs
+are computed in batches in wrapping uint64 arithmetic
+(SplitMix64.u64_batch); a single draw is a batch of one.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .registration import RigidTransform
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_MASK = (1 << 64) - 1
 
 PHANTOM_SHAPES = ("ellipsoid", "two_lobe_pelvis")
 
@@ -52,25 +53,17 @@ class SplitMix64:
     for the exact update formulas."""
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK
+        self._state = int(seed) % 2 ** 64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return int(self.u64_batch(1)[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def below(self, n: int) -> int:
-        """Integer in [0, n) as floor(uniform() * n)."""
-        return int(self.uniform() * n)
+        return float(self.uniform_batch(1)[0])
 
     def u64_batch(self, n: int) -> np.ndarray:
-        """n outputs, bit-identical to n next_u64() calls."""
+        """The next n outputs, in stream order."""
         if n == 0:
             return np.zeros(0, dtype=np.uint64)
         steps = np.arange(1, n + 1, dtype=np.uint64)
@@ -207,10 +200,11 @@ def perturb(cloud: PointCloud, spec: PerturbationSpec) -> tuple[PointCloud, Rigi
     """Subsample, rigidly transform, then add isotropic Gaussian noise.
 
     Returns the perturbed cloud and the exact transform that was applied.
-    Stream order: a Fisher-Yates shuffle (one below(i+1) draw per swap,
-    only when keep_fraction < 1) picks the kept points, then 3m gaussians
-    supply the noise in point-major x, y, z order (only when
-    noise_sigma > 0)."""
+    Stream order: when keep_fraction < 1, n - 1 uniforms u drive a
+    Fisher-Yates shuffle that picks the kept points (the swap for
+    i = n-1, ..., 1 takes j = floor(u * (i + 1)) from the next uniform);
+    then, when noise_sigma > 0, 3m gaussians supply the noise in
+    point-major x, y, z order."""
     rng = SplitMix64(spec.seed)
     pts = cloud.points
     n = len(pts)
@@ -218,9 +212,9 @@ def perturb(cloud: PointCloud, spec: PerturbationSpec) -> tuple[PointCloud, Rigi
         raise ValueError("empty cloud")
     if spec.keep_fraction < 1.0:
         m = max(1, int(round(spec.keep_fraction * n)))
+        picks = (rng.uniform_batch(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
         perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = rng.below(i + 1)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
         pts = pts[np.sort(perm[:m])]
     transform = RigidTransform.from_axis_angle(spec.rotation_axis, spec.rotation_angle,

@@ -58,11 +58,7 @@ def max_bone_extent_y(stack: SliceStack) -> float:
 def scale_factor(ct: SliceStack, mr: SliceStack) -> float:
     """In-plane zoom applied to CT coordinates so the CT bone matches the
     MR bone extent along y; the MR scale stays fixed."""
-    ct_extent = max_bone_extent_y(ct)
-    mr_extent = max_bone_extent_y(mr)
-    if ct_extent <= 0:
-        raise ValueError("CT stack has zero bone extent")
-    return mr_extent / ct_extent
+    return max_bone_extent_y(mr) / max_bone_extent_y(ct)
 
 
 def _catmull_rom_weights(t: float) -> tuple[float, float, float, float]:

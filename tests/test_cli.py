@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bonereg
-from bonereg import (PhantomSpec, PointCloud, RigidTransform, load_xyz,
+from bonereg import (PhantomSpec, PointCloud, RigidTransform, evaluate_slices, load_xyz,
                      make_phantom, save_xyz, voxelize_to_stack, write_stack)
 from bonereg.cli import main
 
@@ -188,6 +188,21 @@ def test_build_cloud_empty_bone(tmp_path, capsys):
     assert "no bone content" in err
 
 
+@pytest.mark.parametrize("key", ["pixel_spacing_mm", "slice_spacing_mm"])
+def test_build_cloud_infinite_spacing_exit_1(tmp_path, capsys, key):
+    from test_mask_io import make_stack
+    bits = np.zeros((8, 8))
+    bits[2:6, 3:5] = 1
+    m = write_stack(make_stack([bits, bits]), tmp_path / "s")
+    doc = json.loads(m.read_text())
+    doc[key] = float("inf")
+    m.write_text(json.dumps(doc))  # written as the JSON extension Infinity
+    code, _, err = run(["build-cloud", m, m, "--out", tmp_path / "o"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_self_is_perfect(tmp_path, capsys):
     cloud = make_phantom(PhantomSpec("ellipsoid", 3000, 6))
     save_xyz(cloud, tmp_path / "c.xyz")
@@ -220,6 +235,10 @@ def test_reslice_command(tmp_path, capsys):
     stack = load_stack(tmp_path / "slices" / "manifest.json")
     assert len(stack) == 5
     assert stack.as_array().sum() > 0
+    # the masks are the bands evaluate_slices scores on the saved cloud
+    saved = load_xyz(tmp_path / "c.xyz")
+    per_slice = evaluate_slices(saved, saved, 5).per_slice
+    assert [int(sl.bits.sum()) for sl in stack.slices] == [r["a_mr"] for r in per_slice]
     code, _, err = run(["reslice", tmp_path / "c.xyz", "--out", tmp_path / "one",
                         "--z-center", 0.0, "--thickness", 0.2], capsys)
     assert code == 0, err

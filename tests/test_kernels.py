@@ -186,12 +186,29 @@ def features(n):
     return st.lists(st.tuples(r, phi, theta), min_size=n, max_size=n).map(np.array)
 
 
-@given(st.data(), clouds(min_n=1, max_n=30), radii,
-       st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 3))
-def test_correspond_arrays_matches_loop(data, tgt, r, weights):
-    moving = data.draw(queries_for(tgt))
-    moving_sph = data.draw(features(len(moving)))
-    tgt_sph = data.draw(features(len(tgt)))
+weights_grid = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 3)
+
+
+@st.composite
+def correspond_cases(draw):
+    tgt = draw(clouds(min_n=1, max_n=30))
+    moving = draw(queries_for(tgt))
+    return (tgt, moving, draw(features(len(moving))), draw(features(len(tgt))),
+            draw(radii), draw(weights_grid))
+
+
+# two targets with equal features inside one ball; the moving point is
+# nearest the higher index, so only the primary preference picks it over
+# the lower one
+TIED_PRIMARY = (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([[0.9, 0.0, 0.0]]),
+                np.array([[0.1, 0.0, 0.5]]), np.array([[0.05, 1.0, 0.0]] * 2),
+                2.0, (1.0, 1.0, 1.0))
+
+
+@example(TIED_PRIMARY)
+@given(correspond_cases())
+def test_correspond_arrays_matches_loop(case):
+    tgt, moving, moving_sph, tgt_sph, r, weights = case
     index = SpatialIndex(tgt)
     chosen, dc, ds = _correspond_arrays(moving, moving_sph, index.nearest(moving)[0], tgt,
                                         tgt_sph, _ball_table(index, r), weights)

@@ -78,6 +78,10 @@ def test_bad_manifests(tmp_path):
         StackManifest("MR", 1.0, 1.0, ("a.pgm", "a.pgm"))
     with pytest.raises(ValueError):
         StackManifest("XR", 1.0, 1.0, ("a.pgm",))
+    with pytest.raises(ValueError, match="finite"):
+        StackManifest("MR", np.inf, 1.0, ("a.pgm",))
+    with pytest.raises(ValueError, match="finite"):
+        StackManifest("MR", 1.0, np.inf, ("a.pgm",))
 
 
 def test_mask_validation():

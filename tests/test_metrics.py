@@ -49,7 +49,7 @@ def test_confusion_matches_pixel_loop():
         truth = (rng.random((64, 64)) < 0.4).astype(np.uint8)
         c = confusion(mask(pred), mask(truth))
         assert (c.tp, c.fp, c.fn, c.tn) == brute_confusion(pred, truth)
-        assert c.total == 64 * 64
+        assert c.tp + c.fp + c.fn + c.tn == 64 * 64
 
 
 def test_confusion_dimension_mismatch():

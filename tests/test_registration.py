@@ -403,6 +403,13 @@ def test_partition_bin_too_small():
         partition_register(cloud, cloud, CsnIcpConfig(partitions=9))
 
 
+@pytest.mark.parametrize("register", [csn_icp, icp_classic])
+def test_single_body_rejects_partitions(register):
+    cloud = make_phantom(PhantomSpec("ellipsoid", 300, 11))
+    with pytest.raises(ValueError, match="partition_register"):
+        register(cloud, cloud, CsnIcpConfig(partitions=2))
+
+
 def test_csn_icp_cloud_too_small():
     tiny = PointCloud(np.random.default_rng(1).random((5, 3)))
     with pytest.raises(DegenerateGeometryError):

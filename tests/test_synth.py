@@ -15,6 +15,45 @@ def test_splitmix_batch_matches_scalar():
     assert a.next_u64() == int(b.u64_batch(1)[0])
 
 
+MASK64 = (1 << 64) - 1
+
+
+def reference_splitmix(seed):
+    """The module docstring's splitmix64 stream in Python ints."""
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def test_splitmix_golden_stream():
+    # the standard splitmix64 outputs for seed 0
+    golden = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert SplitMix64(0).u64_batch(3).tolist() == golden
+    ref = reference_splitmix(0)
+    assert [next(ref) for _ in range(3)] == golden
+    g = SplitMix64(-5)
+    ref = reference_splitmix(-5)
+    assert [g.next_u64() for _ in range(50)] == [next(ref) for _ in range(50)]
+
+
+def test_perturb_subsample_matches_reference_shuffle():
+    cloud = make_phantom(PhantomSpec("ellipsoid", 997, 2))
+    spec = PerturbationSpec(rotation_axis=(1.0, 0.0, 0.0), rotation_angle=0.0,
+                            translation=(0, 0, 0), keep_fraction=0.7, seed=41)
+    out, _ = perturb(cloud, spec)
+    stream = reference_splitmix(41)
+    n = len(cloud)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int((next(stream) >> 11) * 2.0 ** -53 * (i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    kept = sorted(perm[:round(0.7 * n)])
+    assert np.array_equal(out.points, cloud.points[kept])
+
+
 def test_splitmix_uniform_range_and_determinism():
     g = SplitMix64(7)
     u = g.uniform_batch(10000)
@@ -147,8 +186,8 @@ def test_voxelize_pitch_halving_doubles_dims():
     cloud = make_phantom(PhantomSpec("ellipsoid", 2000, 6))
     s1 = voxelize_to_stack(cloud, 0.2, 0.2, closing_iterations=0)
     s2 = voxelize_to_stack(cloud, 0.1, 0.2, closing_iterations=0)
-    w1, w2 = s1.slices[0].width, s2.slices[0].width
-    h1, h2 = s1.slices[0].height, s2.slices[0].height
+    h1, w1 = s1.slices[0].bits.shape
+    h2, w2 = s2.slices[0].bits.shape
     assert w2 in (2 * w1 - 1, 2 * w1)
     assert h2 in (2 * h1 - 1, 2 * h1)
 
