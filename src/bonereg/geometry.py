@@ -1,7 +1,11 @@
 """Spatial queries and local surface features.
 
 Each point gets a unit normal and curvature from the eigendecomposition
-of its k-neighborhood covariance, plus the normal's spherical angles.
+of its k-neighborhood covariance (_feature_arrays), and the normal's
+spherical angles (_angles). Rigid motion keeps curvature and the normal's
+sign rule, and only rotates the normal, so a moving cloud's features are
+estimated once and its angles read from its rotated normals.
+
 Matching uses two distances: d_c, plain Euclidean distance, and d_s, a
 weighted L1 distance on the (curvature, phi, theta) feature triples with
 the azimuth difference wrapped onto the circle.
@@ -24,12 +28,6 @@ only tie the nearest when the window's two numpy distances are within
 the tree's own nearest distance, the value a k=1 tree query gives. A
 ball query keeps the tree's candidates whose numpy squared distance is
 within the squared radius.
-
-RigidKnn serves the k-NN of one cloud's own points while the cloud moves
-rigidly: it queries the tree once, at the first pose, and at later poses
-re-ranks the same windows with the same code, keeping a row only where a
-distance certificate proves that no point outside its window can have
-come closer (see RigidKnn). Its results equal knn_batch's.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ TWO_PI = 2.0 * np.pi
 _TIE_PAD = 8
 # radius inflation covering kd-tree rounding at the boundary
 _R_INFLATE = 1.0 + 1e-9
-_EPS = np.finfo(float).eps
 
 
 class SpatialIndex:
@@ -72,13 +69,13 @@ class SpatialIndex:
         """(idx, dist) for m query points: idx the lowest-index nearest
         neighbor, as knn_batch(queries, 1)[:, 0]; dist the distance to the
         nearest indexed point as the k-d tree computes it."""
-        idx, _, dist = self._ranked(queries, 1, 1)
+        idx, dist = self._ranked(queries, 1, 1)
         return idx[:, 0], dist[:, 0]
 
     def _ranked(self, queries: np.ndarray, k: int, pad: int):
         """(m, k) exact neighbor indices from a window of k + pad tree
-        candidates; the window's (m, k + pad) indices, ranked by (squared
-        distance, index); and its tree distances in the tree's order."""
+        candidates, and the window's (m, k + pad) tree distances in the
+        tree's order."""
         n = len(self)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} outside 1..{n}")
@@ -87,8 +84,15 @@ class SpatialIndex:
         kq = min(k + pad, n)
         dist, idx = self._tree.query(queries, k=kq)
         idx = idx.reshape(m, kq)
-        d2 = _window_sq_dists(self.points, idx, queries)
-        _rerank(idx, d2)
+        diffs = self.points[idx] - queries[:, None, :]
+        d2 = np.sum(diffs * diffs, axis=2)
+        # the tree ranks by its own distance arithmetic; few rows disagree
+        lo, hi = d2[:, :-1], d2[:, 1:]
+        bad = np.nonzero(((hi < lo) | ((hi == lo) & (idx[:, 1:] < idx[:, :-1]))).any(axis=1))[0]
+        if bad.size:
+            order = np.lexsort((idx[bad], d2[bad]), axis=1)
+            idx[bad] = np.take_along_axis(idx[bad], order, axis=1)
+            d2[bad] = np.take_along_axis(d2[bad], order, axis=1)
         out = idx[:, :k].copy()
         if kq < n:
             # a tie group at the k-th distance may extend past the window
@@ -102,7 +106,7 @@ class SpatialIndex:
                     dd = np.sum(diff * diff, axis=1)
                     best = np.lexsort((cand, dd))[:k]
                     out[row] = cand[best]
-        return out, idx, dist.reshape(m, kq)
+        return out, dist.reshape(m, kq)
 
     def ball_batch(self, centers: np.ndarray, radius) -> list[np.ndarray]:
         """Per-center index arrays of all points within radius (inclusive),
@@ -119,89 +123,6 @@ class SpatialIndex:
         keep = np.sum(diff * diff, axis=1) <= r2[rows]
         kept = np.bincount(rows[keep], minlength=m)
         return np.split(cand[keep], np.cumsum(kept)[:-1]) if m else []
-
-
-def _window_sq_dists(points: np.ndarray, idx: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """(m, w) numpy squared distances from each query to its window of
-    point indices."""
-    diffs = points[idx] - queries[:, None, :]
-    return np.sum(diffs * diffs, axis=2)
-
-
-def _rerank(idx: np.ndarray, d2: np.ndarray) -> None:
-    """Sort, in place, the rows of idx and d2 whose order differs from
-    (squared distance, index)."""
-    # the tree ranks by its own distance arithmetic; few rows disagree
-    lo, hi = d2[:, :-1], d2[:, 1:]
-    bad = np.nonzero(((hi < lo) | ((hi == lo) & (idx[:, 1:] < idx[:, :-1]))).any(axis=1))[0]
-    if bad.size:
-        order = np.lexsort((idx[bad], d2[bad]), axis=1)
-        idx[bad] = np.take_along_axis(idx[bad], order, axis=1)
-        d2[bad] = np.take_along_axis(d2[bad], order, axis=1)
-
-
-def kabsch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, T, singular values) of the least-squares rigid map p -> R @ p + T
-    of points a onto points b: demean both sets, SVD of the
-    cross-covariance, with a determinant guard against reflections."""
-    ca = a.mean(axis=0)
-    cb = b.mean(axis=0)
-    h = (a - ca).T @ (b - cb)
-    u, sing, vt = np.linalg.svd(h)
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    r = v @ np.diag([1.0, 1.0, d]) @ u.T
-    return r, cb - r @ ca, sing
-
-
-class RigidKnn:
-    """k nearest neighbors of every point of one cloud as it moves
-    rigidly; each call returns what SpatialIndex(points).knn_batch(points,
-    k) returns for the points given.
-
-    The first call fixes the reference pose: one k-d tree on the points, a
-    window of k + 8 tree candidates per point, and the tree distance of
-    each window's last member, its reach. A later call ranks each window
-    at the current pose with numpy distances, as knn_batch does, and
-    certifies it. Let delta be the largest distance between the current
-    points and the best rigid fit of the reference onto them, plus a
-    rounding allowance, and eta the largest entry of |R^T R - I| for the
-    fit's rotation R. A point outside the window of point i was at least
-    reach_i from it at the reference pose, so it now lies farther than
-    reach_i * (1 - 4 eta) - 2 delta. A row whose k-th window distance is
-    below that bound (with a 1e-12 relative margin for the tree's
-    rounding) keeps the window's first k; the other rows take a fresh
-    knn_batch at the current pose. A window that holds every point needs
-    no certificate.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self._ref = None
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        k = self.k
-        if self._ref is None:
-            nbr, self._window, dist = SpatialIndex(points)._ranked(points, k, _TIE_PAD)
-            self._reach = dist[:, -1]
-            self._ref = points.copy()
-            return nbr
-        idx = self._window.copy()
-        d2 = _window_sq_dists(points, idx, points)
-        _rerank(idx, d2)
-        out = idx[:, :k].copy()
-        if idx.shape[1] < len(points):
-            r, t, _ = kabsch(self._ref, points)
-            resid = points - (self._ref @ r.T + t)
-            scale = max(np.abs(self._ref).max(), np.abs(points).max())
-            delta = np.sqrt(np.sum(resid * resid, axis=1).max()) + 16.0 * _EPS * scale
-            eta = np.abs(r.T @ r - np.eye(3)).max()
-            bound = self._reach * (1.0 - 1e-12 - 4.0 * eta)
-            fail = np.nonzero(~(np.sqrt(d2[:, k - 1]) * (1.0 + 1e-12) + 2.0 * delta < bound))[0]
-            if fail.size:
-                out[fail] = SpatialIndex(points).knn_batch(points[fail], k)
-        return out
 
 
 def jacobi_eigh3(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,13 +195,12 @@ def _canonical_sign(normals: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _feature_arrays(pts: np.ndarray, nbr: np.ndarray):
-    """(normals, curvature, phi, theta) arrays for every point of pts,
-    given each point's (n, k) neighbor indices nbr (knn_batch order).
+    """(normals, curvature) arrays for every point of pts, given each
+    point's (n, k) neighbor indices nbr (knn_batch order).
 
     The k-neighborhood of a point includes the point itself. The normal is
     the eigenvector of the smallest covariance eigenvalue, curvature its
-    share of the eigenvalue sum, and (phi, theta) the normal's spherical
-    angles (phi from the two-argument arctangent).
+    share of the eigenvalue sum.
     """
     nb = pts[nbr]
     centroids = nb.mean(axis=1)
@@ -294,11 +214,17 @@ def _feature_arrays(pts: np.ndarray, nbr: np.ndarray):
     safe = np.where(trace > 0.0, trace, 1.0)
     # clip absorbs the tiny negatives a numerically zero lambda_min can take
     curvature = np.clip(np.where(trace > 0.0, vals[:, 2] / safe, 0.0), 0.0, 1.0 / 3.0)
+    return normals, curvature
+
+
+def _angles(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, theta) spherical angles of unit normals: phi from the
+    two-argument arctangent in (-pi, pi], theta the polar angle."""
     theta = np.arccos(np.clip(normals[:, 2], -1.0, 1.0))
     phi = np.arctan2(normals[:, 1], normals[:, 0])
     phi = np.where(phi == -np.pi, np.pi, phi)
     phi = np.where((normals[:, 0] == 0.0) & (normals[:, 1] == 0.0), 0.0, phi)
-    return normals, curvature, phi, theta
+    return phi, theta
 
 
 def d_s(a, b, weights=(1.0, 1.0, 1.0)):

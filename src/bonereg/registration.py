@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cloud import PointCloud
-from .geometry import RigidKnn, SpatialIndex, _feature_arrays, d_c, d_s, kabsch
+from .geometry import SpatialIndex, _angles, _feature_arrays, d_c, d_s
 from . import metrics
 
 
@@ -122,7 +122,8 @@ def _is_real(x) -> bool:
 class CsnIcpConfig:
     """Tuning knobs for registration.
 
-    r_th=None picks 2% of the target bounding-box diagonal. Rejection
+    r_th=None picks 2% of the target bounding-box diagonal; a given r_th
+    must be below that diagonal (checked when the target is known). Rejection
     multipliers scale the running medians of the pair distances; pass
     float('inf') to disable a channel.
     """
@@ -203,9 +204,8 @@ def report_to_dict(report: RegistrationReport) -> dict:
 def solve_rigid(source_pts, target_pts) -> RigidTransform:
     """Least-squares rigid transform mapping source points onto targets.
 
-    Kabsch solve (geometry.kabsch): demean both sets, SVD of the
-    cross-covariance, with a determinant guard so reflections are never
-    returned.
+    Kabsch solve: demean both sets, SVD of the cross-covariance, with a
+    determinant guard so reflections are never returned.
     """
     a = np.asarray(source_pts, dtype=float)
     b = np.asarray(target_pts, dtype=float)
@@ -213,14 +213,16 @@ def solve_rigid(source_pts, target_pts) -> RigidTransform:
         raise ValueError("point lists must both have shape (n, 3)")
     if a.shape[0] < 3:
         raise DegenerateGeometryError("need at least 3 point pairs")
-    r, t, sing = kabsch(a, b)
+    ca = a.mean(axis=0)
+    cb = b.mean(axis=0)
+    h = (a - ca).T @ (b - cb)
+    u, sing, vt = np.linalg.svd(h)
     if sing[1] <= sing[0] * 1e-12:
         raise DegenerateGeometryError("point pairs are collinear or coincident")
-    return RigidTransform(r, t)
-
-
-def _default_r_th(target: PointCloud) -> float:
-    return 0.02 * target.bbox_diagonal()
+    v = vt.T
+    d = np.sign(np.linalg.det(v @ u.T))
+    r = v @ np.diag([1.0, 1.0, d]) @ u.T
+    return RigidTransform(r, cb - r @ ca)
 
 
 def _ball_table(index: SpatialIndex, r_th: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +279,10 @@ def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.nda
 
 def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
              make_step) -> RegistrationReport:
-    """Shared ICP loop. make_step(moving_pts, primary) returns (target_idx,
-    keep_mask) for the current moving points, given each one's nearest
-    target point (primary, from SpatialIndex.nearest).
+    """Shared ICP loop. make_step(moving_pts, primary, rotation) returns
+    (target_idx, keep_mask) for the current moving points, given each
+    one's nearest target point (primary, from SpatialIndex.nearest) and
+    the rotation part of the running transform from source to moving.
 
     Each iteration solves on the kept pairs, composes the step into the
     running transform and records the full-cloud RMSE. One nearest query
@@ -300,7 +303,7 @@ def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
     converged = False
     accepted = rejected = 0
     for _ in range(config.max_iterations):
-        tgt_idx, keep = make_step(moving, primary)
+        tgt_idx, keep = make_step(moving, primary, total.rotation)
         kept = np.nonzero(keep)[0]
         step = solve_rigid(moving[kept], tgt_index.points[tgt_idx[kept]])
         candidate = step.apply(moving)
@@ -339,19 +342,24 @@ def _require_k_points(n_source: int, n_target: int, k: int) -> None:
 
 
 def _csn_target(target: PointCloud, config: CsnIcpConfig) -> _CsnTarget:
-    r_th = config.r_th if config.r_th is not None else _default_r_th(target)
+    diag = target.bbox_diagonal()
+    r_th = config.r_th if config.r_th is not None else 0.02 * diag
+    if not r_th < diag:
+        # a ball that wide holds every target point: an n^2 ball table
+        raise ValueError(f"r_th={r_th:g} must be below the target's bounding-box "
+                         f"diagonal {diag:g}")
     index = SpatialIndex(target)
-    _, curv, phi, theta = _feature_arrays(target.points,
-                                          index.knn_batch(target.points, config.k))
-    return _CsnTarget(index, np.column_stack([curv, phi, theta]), _ball_table(index, r_th))
+    normals, curv = _feature_arrays(target.points, index.knn_batch(target.points, config.k))
+    return _CsnTarget(index, np.column_stack([curv, *_angles(normals)]),
+                      _ball_table(index, r_th))
 
 
 def _csn_run(source: PointCloud, tgt: _CsnTarget, config: CsnIcpConfig) -> RegistrationReport:
-    neighbors = RigidKnn(config.k)
+    normals, curv = _feature_arrays(
+        source.points, SpatialIndex(source).knn_batch(source.points, config.k))
 
-    def make_step(moving_pts, primary):
-        _, curv, phi, theta = _feature_arrays(moving_pts, neighbors(moving_pts))
-        sph = np.column_stack([curv, phi, theta])
+    def make_step(moving_pts, primary, rotation):
+        sph = np.column_stack([curv, *_angles(normals @ rotation.T)])
         tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, tgt.index.points,
                                              tgt.sph, tgt.balls, config.feature_weights)
         return tgt_idx, _reject_mask(dc, ds, config)
@@ -367,11 +375,11 @@ def csn_icp(source: PointCloud, target: PointCloud,
     The target's index, features and r_th-ball table are built once per
     run: the balls are centred on target points, so they stay fixed
     while the source moves, and each iteration reads the balls of its
-    primary matches from the table. Source features are re-estimated
-    every iteration because normals move with the cloud, but rigid motion
-    keeps each source point's k nearest neighbors: geometry.RigidKnn
-    finds them once per run and certifies them at every later pose,
-    re-querying only rows whose certificate fails.
+    primary matches from the table. The source features are estimated
+    once per run, at the source pose: rigid motion keeps each source
+    point's k-neighborhood, curvature and normal sign, and only rotates
+    its normal, so each iteration takes (phi, theta) from the source
+    normals turned by the running rotation.
     """
     config = config or CsnIcpConfig()
     if config.partitions > 1:
@@ -391,7 +399,7 @@ def icp_classic(source: PointCloud, target: PointCloud,
         raise ValueError("clouds must be non-empty")
     index = SpatialIndex(target)
 
-    def make_step(moving_pts, primary):
+    def make_step(moving_pts, primary, _rotation):
         return primary, np.ones(len(moving_pts), dtype=bool)
 
     return _iterate(source, index, config, make_step)

@@ -135,6 +135,15 @@ def test_register_bad_config_exit_1(tmp_path, capsys, doc):
     assert not (tmp_path / "o").exists()
 
 
+def test_register_r_th_past_target_exit_1(tmp_path, capsys):
+    save_xyz(make_phantom(PhantomSpec("ellipsoid", 100, 2)), tmp_path / "a.xyz")
+    code, _, err = run(["register", tmp_path / "a.xyz", tmp_path / "a.xyz",
+                        "--out", tmp_path / "o", "--r-th", 1e9], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "bounding-box diagonal" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_register_partitions_flag(tmp_path, capsys):
     cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 1500, 4))
     save_xyz(cloud, tmp_path / "c.xyz")

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from bonereg import PointCloud, RigidTransform, SpatialIndex, d_c, d_s, jacobi_eigh3
-from bonereg.geometry import _feature_arrays
+from bonereg.geometry import _angles, _feature_arrays
 
 TWO_PI = 2 * np.pi
 
 
 def features(pts, k):
-    return _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
+    """(normals, curvature, phi, theta) of every point's k-neighborhood."""
+    normals, curvature = _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
+    return (normals, curvature, *_angles(normals))
 
 
 def brute_knn(pts, query, k):
@@ -145,15 +147,17 @@ def test_features_invariants():
 
 
 def test_features_rotation_equivariance():
+    # a rigid motion rotates each normal, sign included (n . (p - centroid)
+    # does not change), and keeps curvature
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(400, 3)) * np.array([1.0, 0.6, 0.3])
-    rot = RigidTransform.from_axis_angle((1, 2, 2), 0.7)
-    a = features(pts, 12)[0]
-    b = features(pts @ rot.rotation.T, 12)[0]
-    rotated = a @ rot.rotation.T
-    err = np.minimum(np.linalg.norm(b - rotated, axis=1),
-                     np.linalg.norm(b + rotated, axis=1))
-    assert err.max() < 1e-9
+    normals, curvature = features(pts, 12)[:2]
+    for _ in range(20):
+        motion = RigidTransform.from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi),
+                                                rng.normal(size=3))
+        moved_normals, moved_curvature = features(motion.apply(pts), 12)[:2]
+        assert np.abs(moved_normals - normals @ motion.rotation.T).max() < 1e-9
+        assert np.abs(moved_curvature - curvature).max() < 1e-12
 
 
 def test_ds_examples():

@@ -8,8 +8,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from bonereg import RigidTransform, SpatialIndex, d_s
-from bonereg.geometry import RigidKnn
+from bonereg import SpatialIndex, d_s
 from bonereg.registration import _ball_table, _correspond_arrays
 
 coords = st.floats(-4.0, 4.0, allow_nan=False, width=64)
@@ -84,73 +83,6 @@ def test_nearest_matches_scan_and_tree(case):
 def test_nearest_empty_index_raises():
     with pytest.raises(ValueError, match=r"k=1 outside 1\.\.0"):
         SpatialIndex(np.zeros((0, 3))).nearest(np.zeros((1, 3)))
-
-
-unit = st.floats(-1.0, 1.0, allow_nan=False)
-rigid_steps = st.tuples(
-    st.tuples(unit, unit, unit).filter(lambda a: np.dot(a, a) > 1e-2),
-    st.floats(-np.pi, np.pi), st.tuples(coords, coords, coords),
-).map(lambda s: RigidTransform.from_axis_angle(*s))
-
-
-@st.composite
-def rigid_knn_cases(draw):
-    """A cloud (random, lattice, or either moved 1e6 from the origin), k,
-    and a sequence of rigid steps applied one after another."""
-    pts = draw(clouds(max_n=60)) + draw(st.sampled_from([0.0, 1e6]))
-    k = draw(st.integers(1, min(len(pts), 20)))
-    return pts, k, draw(st.lists(rigid_steps, min_size=1, max_size=6))
-
-
-@given(rigid_knn_cases())
-def test_rigid_knn_matches_knn_batch(case):
-    pts, k, steps = case
-    knn = RigidKnn(k)
-    for step in [None] + steps:
-        if step is not None:
-            pts = step.apply(pts)
-        assert np.array_equal(knn(pts), SpatialIndex(pts).knn_batch(pts, k))
-
-
-@st.composite
-def jitter_cases(draw):
-    """A cloud, k, and the cloud with a few points moved next to others."""
-    pts = draw(clouds(min_n=10, max_n=60))
-    n = len(pts)
-    moved = pts.copy()
-    offsets = st.tuples(*[st.sampled_from([-0.25, 0.0, 0.25])] * 3)
-    for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)):
-        moved[j] = pts[draw(st.integers(0, n - 1))] + draw(offsets)
-    return pts, draw(st.integers(1, min(n, 12))), moved
-
-
-def on_x_axis(xs):
-    return np.column_stack([xs, np.zeros(len(xs)), np.zeros(len(xs))]).astype(float)
-
-
-# the last of 20 points on a line jumps between the first two: point 0's
-# window of 11 misses it, and only delta fails point 0's certificate
-LINE_JUMP = (on_x_axis(np.arange(20)), 3, on_x_axis(np.r_[np.arange(19), 0.5]))
-# point 0 moves toward point 10, outside its window, while the window's
-# last member, point 9, moves away: the window's own far end then bounds
-# nothing, only the reference pose's reach does
-WINDOW_STRETCH = (
-    np.array([[0, 0, 0], [0, 1, 0], [0, -1.5, 0], [0, 0, 2], [0, 0, -2.5], [-3, 0, 0],
-              [0, 3.5, 0], [0, 0, 4], [0, -4.5, 0], [-5, 0, 0], [5.2, 0, 0]], float),
-    2,
-    np.array([[2.1, 0, 0], [0, 1, 0], [0, -1.5, 0], [0, 0, 2], [0, 0, -2.5], [-3, 0, 0],
-              [0, 3.5, 0], [0, 0, 4], [0, -4.5, 0], [-7.1, 0, 0], [3.1, 0, 0]], float),
-)
-
-
-@example(LINE_JUMP)
-@example(WINDOW_STRETCH)
-@given(jitter_cases())
-def test_rigid_knn_requeries_moved_rows(case):
-    pts, k, moved = case
-    knn = RigidKnn(k)
-    knn(pts)
-    assert np.array_equal(knn(moved), SpatialIndex(moved).knn_batch(moved, k))
 
 
 radii = st.one_of(st.floats(1e-6, 3.0), st.sampled_from([0.5, 1.0, 2.0 ** 0.5, 2.0]))

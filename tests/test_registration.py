@@ -6,7 +6,8 @@ from bonereg import (CsnIcpConfig, DegenerateGeometryError, DivergenceError,
                      icp_classic, make_phantom, partition_indices, partition_register,
                      perturb, rotation_angle_between, solve_rigid,
                      PerturbationSpec, PhantomSpec, SpatialIndex)
-from bonereg.geometry import _feature_arrays
+from bonereg import geometry
+from bonereg.geometry import _angles, _feature_arrays
 from bonereg.registration import _ball_table, _correspond_arrays, _reject_mask
 
 
@@ -95,8 +96,8 @@ def test_solve_rigid_local_optimality():
 
 def spherical(pts, k):
     """(curvature, phi, theta) rows of every point's k-neighborhood."""
-    _, curv, phi, theta = _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
-    return np.column_stack([curv, phi, theta])
+    normals, curv = _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
+    return np.column_stack([curv, *_angles(normals)])
 
 
 def correspond(src_pts, src_sph, tgt_pts, tgt_sph, r_th, weights=(1.0, 1.0, 1.0)):
@@ -222,11 +223,16 @@ def test_csn_icp_noise_floor():
     assert report.final_rmse <= 2 * sigma
 
 
-def test_report_invariants():
+def turned_phantom():
+    """The two-lobe phantom and a noisy copy turned 0.2 rad about y."""
     cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 1200, 4))
     spec = PerturbationSpec(rotation_axis=(0.0, 1.0, 0.0), rotation_angle=0.2,
                             translation=(0.03, 0.0, 0.0), noise_sigma=0.002, seed=2)
-    target, _ = perturb(cloud, spec)
+    return cloud, perturb(cloud, spec)[0]
+
+
+def test_report_invariants():
+    cloud, target = turned_phantom()
     for report in (csn_icp(cloud, target), icp_classic(cloud, target)):
         assert len(report.per_iteration_rmse) == report.iterations_used
         trace = report.per_iteration_rmse
@@ -237,10 +243,7 @@ def test_report_invariants():
 
 @pytest.mark.parametrize("register", [icp_classic, csn_icp])
 def test_one_nearest_query_per_pose(monkeypatch, register):
-    cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 1200, 4))
-    spec = PerturbationSpec(rotation_axis=(0.0, 1.0, 0.0), rotation_angle=0.2,
-                            translation=(0.03, 0.0, 0.0), noise_sigma=0.002, seed=2)
-    target, _ = perturb(cloud, spec)
+    cloud, target = turned_phantom()
     knn_ks, nearest_calls = [], []
     knn_batch, nearest = SpatialIndex.knn_batch, SpatialIndex.nearest
 
@@ -263,22 +266,60 @@ def test_one_nearest_query_per_pose(monkeypatch, register):
 
 @pytest.mark.parametrize("partitions", [1, 2])
 def test_one_moving_tree_per_run(monkeypatch, partitions):
-    cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 1200, 4))
-    spec = PerturbationSpec(rotation_axis=(0.0, 1.0, 0.0), rotation_angle=0.2,
-                            translation=(0.03, 0.0, 0.0), noise_sigma=0.002, seed=2)
-    target, _ = perturb(cloud, spec)
-    builds = []
-    init = SpatialIndex.__init__
+    cloud, target = turned_phantom()
+    builds, mats = [], []
+    init, jacobi = SpatialIndex.__init__, geometry.jacobi_eigh3
 
     def counted_init(self, points):
         builds.append(len(points))
         init(self, points)
 
+    def counted_jacobi(cov):
+        mats.append(len(cov))
+        return jacobi(cov)
+
     monkeypatch.setattr(SpatialIndex, "__init__", counted_init)
+    monkeypatch.setattr(geometry, "jacobi_eigh3", counted_jacobi)
     report = partition_register(cloud, target, CsnIcpConfig(partitions=partitions))
     assert report.iterations_used > 2
-    # the target's tree, then one per moving bin at its first pose
-    assert len(builds) == 1 + partitions
+    # the target's tree and features, then one tree and one feature
+    # estimate per moving bin, at its source pose
+    bins = [b.size for b in partition_indices(cloud, partitions)]
+    assert builds == mats == [len(target)] + bins
+
+
+@pytest.mark.parametrize("register, partitions", [
+    (csn_icp, 1), (icp_classic, 1), (partition_register, 2),
+], ids=["csn_icp", "icp_classic", "partition_register"])
+def test_runs_repeat_bit_for_bit_and_traces_never_rise(register, partitions):
+    cloud, target = turned_phantom()
+    config = CsnIcpConfig(partitions=partitions)
+    first, second = (register(cloud, target, config) for _ in range(2))
+    for report in (first, second):
+        assert len(report.final_transforms) == partitions
+        trace = report.per_iteration_rmse
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def signature(r):
+        return (b"".join(t.rotation.tobytes() + t.translation.tobytes()
+                         for t in r.final_transforms),
+                np.array(r.per_iteration_rmse).tobytes(),
+                (r.accepted_pairs, r.rejected_pairs, r.iterations_used, r.converged))
+
+    assert signature(first) == signature(second)
+
+
+def test_r_th_must_be_below_target_diagonal(monkeypatch):
+    cloud = make_phantom(PhantomSpec("ellipsoid", 300, 11))
+    diag = cloud.bbox_diagonal()
+    ball_calls = []
+    monkeypatch.setattr(SpatialIndex, "ball_batch", lambda *args: ball_calls.append(args))
+    for r_th in (1e9, diag):
+        for register, partitions in ((csn_icp, 1), (partition_register, 2)):
+            with pytest.raises(ValueError, match="bounding-box diagonal"):
+                register(cloud, cloud, CsnIcpConfig(r_th=r_th, partitions=partitions))
+    # rejected before the r_th-ball table is built
+    assert ball_calls == []
 
 
 def test_degenerate_config_reduces_to_classic():
