@@ -38,6 +38,13 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _read_object(path) -> dict:
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise CliError(f"{path} must hold a JSON object")
+    return doc
+
+
 _CONFIG_KEYS = {f.name for f in fields(CsnIcpConfig)}
 
 
@@ -46,9 +53,7 @@ def _load_config(args) -> CsnIcpConfig:
     file values, overridden by command-line flags."""
     values = {}
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-        if not isinstance(doc, dict):
-            raise CliError("config file must hold a JSON object")
+        doc = _read_object(args.config)
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -117,8 +122,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    phantom_doc = json.loads(Path(args.phantom_spec).read_text())
-    perturb_doc = json.loads(Path(args.perturbation_spec).read_text())
+    phantom_doc = _read_object(args.phantom_spec)
+    perturb_doc = _read_object(args.perturbation_spec)
     if args.seed is not None:
         phantom_doc["seed"] = args.seed
         perturb_doc["seed"] = args.seed

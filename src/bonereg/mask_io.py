@@ -124,6 +124,23 @@ def _write_pgm(path: Path, gray: np.ndarray) -> None:
         fh.write(gray.astype(np.uint8).tobytes())
 
 
+def _field(doc: dict, key: str, convert, default=None):
+    """convert(doc[key]), or convert(default) for an absent key when a
+    default is given. A missing key raises KeyError; a value that convert
+    rejects raises ValueError naming the key."""
+    value = doc[key] if default is None else doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} has a wrong-typed value: {value!r}") from None
+
+
+def _file_names(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(name, str) for name in value)):
+        raise TypeError("expected a list of file names")
+    return tuple(value)
+
+
 def load_stack(manifest_path) -> SliceStack:
     """Load and validate a mask stack from its manifest file.
 
@@ -133,15 +150,19 @@ def load_stack(manifest_path) -> SliceStack:
     if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     doc = json.loads(manifest_path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{manifest_path}: manifest must hold a JSON object")
     try:
         manifest = StackManifest(
             modality=doc["modality"],
-            pixel_spacing_mm=float(doc["pixel_spacing_mm"]),
-            slice_spacing_mm=float(doc["slice_spacing_mm"]),
-            slice_files=tuple(doc["slices"]),
+            pixel_spacing_mm=_field(doc, "pixel_spacing_mm", float),
+            slice_spacing_mm=_field(doc, "slice_spacing_mm", float),
+            slice_files=_field(doc, "slices", _file_names),
         )
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: manifest is missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     base = manifest_path.parent
     slices = []
     shape = None

@@ -7,7 +7,7 @@ drops pairs whose distances exceed median-relative thresholds before the
 SVD solve; the classic baseline (icp_classic) uses plain nearest
 neighbors with no refinement or rejection. partition_register splits the
 moving cloud into contiguous x-sorted bins and registers each bin
-independently, modeling articulated motion.
+independently, modeling articulated motion; csn_icp is its one-bin case.
 
 Each step has one kernel, working on whole arrays: _correspond_arrays
 matches every moving point (scored with geometry.d_s and d_c) and
@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -125,7 +126,8 @@ class CsnIcpConfig:
     r_th=None picks 2% of the target bounding-box diagonal; a given r_th
     must be below that diagonal (checked when the target is known). Rejection
     multipliers scale the running medians of the pair distances; pass
-    float('inf') to disable a channel.
+    float('inf') to disable a channel. partitions > 1 is for
+    partition_register, whose bins skip the centroid pre-alignment.
     """
 
     k: int = 20
@@ -136,7 +138,6 @@ class CsnIcpConfig:
     rmse_tolerance: float = 1e-6
     partitions: int = 1
     feature_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    center_align: bool = True
 
     def __post_init__(self):
         for name in ("k", "max_iterations", "partitions"):
@@ -150,8 +151,6 @@ class CsnIcpConfig:
         if self.r_th is not None and not (_is_real(self.r_th) and 0 < self.r_th < math.inf):
             # an infinite radius would put every target point in every ball
             raise ValueError("r_th must be a positive finite number")
-        if not isinstance(self.center_align, bool):
-            raise ValueError("center_align must be true or false")
         if self.k < 3:
             raise ValueError("k must be at least 3")
         if self.max_iterations < 1:
@@ -162,8 +161,8 @@ class CsnIcpConfig:
             w = tuple(self.feature_weights)
         except TypeError:
             w = ()
-        if len(w) != 3 or not all(map(_is_real, w)) or min(w) < 0:
-            raise ValueError("feature_weights must be three non-negative values")
+        if len(w) != 3 or not all(_is_real(x) and 0 <= x < math.inf for x in w):
+            raise ValueError("feature_weights must be three non-negative finite values")
         object.__setattr__(self, "feature_weights", tuple(float(x) for x in w))
 
 
@@ -277,9 +276,10 @@ def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.nda
     return keep
 
 
-def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
-             make_step) -> RegistrationReport:
-    """Shared ICP loop. make_step(moving_pts, primary, rotation) returns
+def _iterate(points: np.ndarray, tgt_index: SpatialIndex, config: CsnIcpConfig,
+             make_step, align_centroids: bool) -> RegistrationReport:
+    """Shared ICP loop, from the points shifted onto the target's centroid
+    if align_centroids. make_step(moving_pts, primary, rotation) returns
     (target_idx, keep_mask) for the current moving points, given each
     one's nearest target point (primary, from SpatialIndex.nearest) and
     the rotation part of the running transform from source to moving.
@@ -291,9 +291,9 @@ def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
     step and stops if the RMSE would increase, so the recorded trace
     never rises.
     """
-    moving = source.points.copy()
+    moving = points
     total = RigidTransform.identity()
-    if config.center_align:
+    if align_centroids:
         shift = tgt_index.points.mean(axis=0) - moving.mean(axis=0)
         moving = moving + shift
         total = RigidTransform(np.eye(3), shift)
@@ -325,23 +325,18 @@ def _iterate(source: PointCloud, tgt_index: SpatialIndex, config: CsnIcpConfig,
                               converged, len(trace))
 
 
-@dataclass(frozen=True, eq=False)
-class _CsnTarget:
-    """What csn_icp needs of the target; rigid motion of the source
-    changes none of it, so it is built once per run."""
-
-    index: SpatialIndex
-    sph: np.ndarray
-    balls: tuple[np.ndarray, np.ndarray]
-
-
-def _require_k_points(n_source: int, n_target: int, k: int) -> None:
-    if n_source < k or n_target < k:
+def _csn_bins(source: PointCloud, target: PointCloud,
+              config: CsnIcpConfig) -> list[RegistrationReport]:
+    """One CSN-ICP run per partition bin of the source, in bin order. Only
+    a single bin starts centroid-aligned: aligning a bin's centroid to the
+    whole target would mis-center it."""
+    k = config.k
+    if len(source) < k or len(target) < k:
         raise DegenerateGeometryError(
-            f"clouds must have at least k={k} points (got {n_source} and {n_target})")
-
-
-def _csn_target(target: PointCloud, config: CsnIcpConfig) -> _CsnTarget:
+            f"clouds must have at least k={k} points (got {len(source)} and {len(target)})")
+    bins = partition_indices(source, config.partitions)
+    if min(b.size for b in bins) < k:
+        raise DegenerateGeometryError(f"a partition holds fewer than k={k} points")
     diag = target.bbox_diagonal()
     r_th = config.r_th if config.r_th is not None else 0.02 * diag
     if not r_th < diag:
@@ -349,22 +344,21 @@ def _csn_target(target: PointCloud, config: CsnIcpConfig) -> _CsnTarget:
         raise ValueError(f"r_th={r_th:g} must be below the target's bounding-box "
                          f"diagonal {diag:g}")
     index = SpatialIndex(target)
-    normals, curv = _feature_arrays(target.points, index.knn_batch(target.points, config.k))
-    return _CsnTarget(index, np.column_stack([curv, *_angles(normals)]),
-                      _ball_table(index, r_th))
+    tgt_normals, tgt_curv = _feature_arrays(target.points, index.knn_batch(target.points, k))
+    tgt_sph = np.column_stack([tgt_curv, *_angles(tgt_normals)])
+    balls = _ball_table(index, r_th)
+    normals, curv = _feature_arrays(source.points,
+                                    SpatialIndex(source).knn_batch(source.points, k))
 
-
-def _csn_run(source: PointCloud, tgt: _CsnTarget, config: CsnIcpConfig) -> RegistrationReport:
-    normals, curv = _feature_arrays(
-        source.points, SpatialIndex(source).knn_batch(source.points, config.k))
-
-    def make_step(moving_pts, primary, rotation):
-        sph = np.column_stack([curv, *_angles(normals @ rotation.T)])
-        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, tgt.index.points,
-                                             tgt.sph, tgt.balls, config.feature_weights)
+    def make_step(bin_normals, bin_curv, moving_pts, primary, rotation):
+        sph = np.column_stack([bin_curv, *_angles(bin_normals @ rotation.T)])
+        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, index.points,
+                                             tgt_sph, balls, config.feature_weights)
         return tgt_idx, _reject_mask(dc, ds, config)
 
-    return _iterate(source, tgt.index, config, make_step)
+    return [_iterate(source.points[b], index, config, partial(make_step, normals[b], curv[b]),
+                     align_centroids=len(bins) == 1)
+            for b in bins]
 
 
 def csn_icp(source: PointCloud, target: PointCloud,
@@ -374,9 +368,8 @@ def csn_icp(source: PointCloud, target: PointCloud,
 
     The target's index, features and r_th-ball table are built once per
     run: the balls are centred on target points, so they stay fixed
-    while the source moves, and each iteration reads the balls of its
-    primary matches from the table. The source features are estimated
-    once per run, at the source pose: rigid motion keeps each source
+    while the source moves. The source features are estimated once per
+    run, over the whole source at its own pose: rigid motion keeps each
     point's k-neighborhood, curvature and normal sign, and only rotates
     its normal, so each iteration takes (phi, theta) from the source
     normals turned by the running rotation.
@@ -384,8 +377,7 @@ def csn_icp(source: PointCloud, target: PointCloud,
     config = config or CsnIcpConfig()
     if config.partitions > 1:
         raise ValueError("csn_icp registers one body; partitions > 1 need partition_register")
-    _require_k_points(len(source), len(target), config.k)
-    return _csn_run(source, _csn_target(target, config), config)
+    return _csn_bins(source, target, config)[0]
 
 
 def icp_classic(source: PointCloud, target: PointCloud,
@@ -402,7 +394,7 @@ def icp_classic(source: PointCloud, target: PointCloud,
     def make_step(moving_pts, primary, _rotation):
         return primary, np.ones(len(moving_pts), dtype=bool)
 
-    return _iterate(source, index, config, make_step)
+    return _iterate(source.points, index, config, make_step, align_centroids=True)
 
 
 def partition_indices(source: PointCloud, partitions: int) -> list[np.ndarray]:
@@ -419,25 +411,17 @@ def partition_register(source: PointCloud, target: PointCloud,
     """Register x-sorted bins of the source independently onto the full
     target; one transform per bin.
 
-    With partitions=1 this is exactly csn_icp. For multiple bins the
-    centroid pre-alignment is disabled (aligning a bin's centroid to the
-    whole target would mis-center it), and every bin reuses one build of
-    the target's index, features and ball table. The reported trace is
-    the RMSE of the union of the transformed bins, with bins that
-    converge early held at their final pose.
+    With partitions=1 this is exactly csn_icp. The bins share csn_icp's
+    one build of the target's tables and one estimate of the source
+    features over the whole source, so no k-neighborhood ends at a bin
+    edge. The reported trace is the RMSE of the union of the transformed
+    bins, with bins that converge early held at their final pose.
     """
     config = config or CsnIcpConfig()
-    if config.partitions == 1:
-        return csn_icp(source, target, config)
-    bins = partition_indices(source, config.partitions)
-    if min(b.size for b in bins) < config.k:
-        raise DegenerateGeometryError(
-            f"a partition holds fewer than k={config.k} points")
-    _require_k_points(bins[0].size, len(target), config.k)
-    sub_config = replace(config, partitions=1, center_align=False)
-    tgt = _csn_target(target, sub_config)
-    reports = [_csn_run(PointCloud(source.points[b]), tgt, sub_config) for b in bins]
-    sizes = np.array([b.size for b in bins], dtype=float)
+    reports = _csn_bins(source, target, config)
+    if len(reports) == 1:
+        return reports[0]
+    sizes = np.array([b.size for b in partition_indices(source, config.partitions)], dtype=float)
     # every run records at least one RMSE; a bin that stopped early holds
     # its last one
     iters = max(r.iterations_used for r in reports)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .mask_io import SliceMask, SliceStack, StackManifest
+from .mask_io import SliceMask, SliceStack, StackManifest, _field
 from .metrics import binary_close
 from .registration import RigidTransform
 
@@ -261,22 +261,31 @@ def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: floa
     return SliceStack(manifest, tuple(slices))
 
 
+def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list of numbers")
+    return tuple(float(x) for x in value)
+
+
 def phantom_spec_from_dict(doc: dict) -> PhantomSpec:
-    kwargs = {"shape": doc["shape"], "point_count": int(doc["point_count"]),
-              "seed": int(doc["seed"])}
-    if "lobe_offset" in doc:
-        kwargs["lobe_offset"] = tuple(doc["lobe_offset"])
-    if "semi_axes" in doc:
-        kwargs["semi_axes"] = tuple(doc["semi_axes"])
+    if not isinstance(doc, dict):
+        raise ValueError("phantom spec must be a JSON object")
+    kwargs = {"shape": doc["shape"], "point_count": _field(doc, "point_count", int),
+              "seed": _field(doc, "seed", int)}
+    for key in ("lobe_offset", "semi_axes"):
+        if key in doc:
+            kwargs[key] = _field(doc, key, _floats)
     return PhantomSpec(**kwargs)
 
 
 def perturbation_spec_from_dict(doc: dict) -> PerturbationSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("perturbation spec must be a JSON object")
     return PerturbationSpec(
-        rotation_axis=tuple(doc["rotation_axis"]),
-        rotation_angle=float(doc["rotation_angle"]),
-        translation=tuple(doc["translation"]),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        keep_fraction=float(doc.get("keep_fraction", 1.0)),
-        seed=int(doc.get("seed", 0)),
+        rotation_axis=_field(doc, "rotation_axis", _floats),
+        rotation_angle=_field(doc, "rotation_angle", float),
+        translation=_field(doc, "translation", _floats),
+        noise_sigma=_field(doc, "noise_sigma", float, 0.0),
+        keep_fraction=_field(doc, "keep_fraction", float, 1.0),
+        seed=_field(doc, "seed", int, 0),
     )

@@ -5,7 +5,8 @@ import pytest
 
 import bonereg
 from bonereg import (PhantomSpec, PointCloud, RigidTransform, evaluate_slices, load_xyz,
-                     make_phantom, save_xyz, voxelize_to_stack, write_stack)
+                     make_phantom, perturbation_spec_from_dict, phantom_spec_from_dict,
+                     save_xyz, voxelize_to_stack, write_stack)
 from bonereg.cli import main
 
 
@@ -122,7 +123,7 @@ def test_register_non_convergence_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [{"k": "abc"}, {"r_th": "x"}, {"feature_weights": 5},
                                  {"max_iterations": 2.5}, 7,
-                                 {"record_correspondences": True},
+                                 {"record_correspondences": True}, {"center_align": False},
                                  {"r_th": float("inf")}, {"r_th": float("nan")}])
 def test_register_bad_config_exit_1(tmp_path, capsys, doc):
     save_xyz(make_phantom(PhantomSpec("ellipsoid", 100, 2)), tmp_path / "a.xyz")
@@ -210,6 +211,58 @@ def test_build_cloud_infinite_spacing_exit_1(tmp_path, capsys, key):
     assert code == 1
     assert err.startswith("error:") and "finite" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [],
+    lambda doc: {**doc, "pixel_spacing_mm": None},
+    lambda doc: {**doc, "slice_spacing_mm": "thin"},
+    lambda doc: {**doc, "slices": 5},
+    lambda doc: {**doc, "slices": [1, 2]},
+], ids=["list", "null-spacing", "string-spacing", "int-slices", "int-names"])
+def test_build_cloud_malformed_manifest_exit_1(tmp_path, capsys, edit):
+    from test_mask_io import make_stack
+    bits = np.zeros((8, 8))
+    bits[2:6, 3:5] = 1
+    m = write_stack(make_stack([bits, bits]), tmp_path / "s")
+    m.write_text(json.dumps(edit(json.loads(m.read_text()))))
+    code, _, err = run(["build-cloud", m, m, "--out", tmp_path / "o"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and str(m) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("phantom, perturbation, seed, message", [
+    (None, [1], None, "must hold a JSON object"),
+    (None, [1], 5, "must hold a JSON object"),
+    ("point", None, 5, "must hold a JSON object"),
+    (None, {"rotation_axis": [0, 0, 1], "rotation_angle": 0.1, "translation": 5},
+     None, "translation"),
+    (None, {"rotation_axis": [0, 0, 1], "rotation_angle": None, "translation": [0, 0, 0]},
+     None, "rotation_angle"),
+    ({"shape": "ellipsoid", "point_count": "many", "seed": 1}, None, None, "point_count"),
+    ({"shape": "ellipsoid", "point_count": float("inf"), "seed": 1}, None, None,
+     "point_count"),
+    ({"shape": "ellipsoid", "point_count": 500, "seed": 1, "semi_axes": "123"}, None, None,
+     "semi_axes"),
+], ids=["list-perturbation", "list-perturbation-seed", "string-phantom-seed",
+        "int-translation", "null-angle", "string-count", "inf-count", "string-axes"])
+def test_synth_malformed_spec_exit_1(tmp_path, capsys, phantom, perturbation, seed, message):
+    pp, vp = write_specs(tmp_path, phantom, perturbation)
+    flags = [] if seed is None else ["--seed", seed]
+    code, _, err = run(["synth", pp, vp, "--out", tmp_path / "o", *flags], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_spec_from_dict_rejects_non_objects():
+    with pytest.raises(ValueError, match="phantom spec must be a JSON object"):
+        phantom_spec_from_dict([1])
+    with pytest.raises(ValueError, match="perturbation spec must be a JSON object"):
+        perturbation_spec_from_dict("spec")
 
 
 def test_evaluate_self_is_perfect(tmp_path, capsys):

@@ -6,7 +6,7 @@ from bonereg import (CsnIcpConfig, DegenerateGeometryError, DivergenceError,
                      icp_classic, make_phantom, partition_indices, partition_register,
                      perturb, rotation_angle_between, solve_rigid,
                      PerturbationSpec, PhantomSpec, SpatialIndex)
-from bonereg import geometry
+from bonereg import geometry, registration
 from bonereg.geometry import _angles, _feature_arrays
 from bonereg.registration import _ball_table, _correspond_arrays, _reject_mask
 
@@ -283,9 +283,9 @@ def test_one_moving_tree_per_run(monkeypatch, partitions):
     report = partition_register(cloud, target, CsnIcpConfig(partitions=partitions))
     assert report.iterations_used > 2
     # the target's tree and features, then one tree and one feature
-    # estimate per moving bin, at its source pose
-    bins = [b.size for b in partition_indices(cloud, partitions)]
-    assert builds == mats == [len(target)] + bins
+    # estimate over the whole moving cloud, at its source pose, whatever
+    # the number of bins
+    assert builds == mats == [len(target), len(cloud)]
 
 
 @pytest.mark.parametrize("register, partitions", [
@@ -354,6 +354,18 @@ def test_icp_classic_identity_and_recovery():
     assert np.degrees(rotation_angle_between(report.final_transforms[0], gt)) < 0.5
 
 
+def test_icp_classic_rigid_equivariance():
+    # moving both clouds by G moves the result by G: G^-1 T' G == T
+    cloud, target = turned_phantom()
+    g = RigidTransform.from_axis_angle(unit((0.3, -0.8, 0.5)), np.radians(70.0),
+                                       (0.4, -0.1, 0.25))
+    t = icp_classic(cloud, target).final_transforms[0]
+    moved = icp_classic(PointCloud(g.apply(cloud.points)), PointCloud(g.apply(target.points)))
+    back = g.inverse().compose(moved.final_transforms[0]).compose(g)
+    assert np.degrees(rotation_angle_between(back, t)) < 1e-4
+    assert np.abs(back.translation - t.translation).max() < 1e-9
+
+
 def test_partition_indices_split():
     rng = np.random.default_rng(7)
     cloud = PointCloud(rng.normal(size=(10, 3)))
@@ -409,20 +421,27 @@ def test_partition_register_two_motions():
 def test_partition_two_equals_csn_per_bin(monkeypatch):
     source, target, _, _ = two_motion_instance(12, n=800, angle_deg=6.0)
     config = CsnIcpConfig(partitions=2)
-    ball_calls = []
-    original = SpatialIndex.ball_batch
+    ball_calls, starts, per_bin = [], [], []
+    ball_batch, iterate = SpatialIndex.ball_batch, registration._iterate
 
     def counted(self, centers, radius):
         ball_calls.append(len(centers))
-        return original(self, centers, radius)
+        return ball_batch(self, centers, radius)
+
+    def captured(points, *args, align_centroids):
+        starts.append((points, align_centroids))
+        per_bin.append(iterate(points, *args, align_centroids=align_centroids))
+        return per_bin[-1]
 
     monkeypatch.setattr(SpatialIndex, "ball_batch", counted)
+    monkeypatch.setattr(registration, "_iterate", captured)
     report = partition_register(source, target, config)
     assert ball_calls == [len(target)]  # one ball table shared by both bins
     bins = partition_indices(source, 2)
-    sub = CsnIcpConfig(center_align=False)
-    per_bin = [csn_icp(PointCloud(source.points[b]), target, sub) for b in bins]
-    assert ball_calls == [len(target)] * 3  # and one per csn_icp run
+    # one loop per bin, from the bin's own points, with no centroid shift
+    assert len(starts) == 2
+    for (points, align), b in zip(starts, bins):
+        assert np.array_equal(points, source.points[b]) and align is False
     for got, rep in zip(report.final_transforms, per_bin):
         assert np.array_equal(got.rotation, rep.final_transforms[0].rotation)
         assert np.array_equal(got.translation, rep.final_transforms[0].translation)
@@ -474,7 +493,8 @@ def test_config_validation():
     {"k": "abc"}, {"k": True}, {"k": 20.0}, {"max_iterations": 2.5},
     {"partitions": None}, {"r_th": "x"}, {"dc_reject_multiplier": False},
     {"rmse_tolerance": [1e-6]}, {"feature_weights": 5}, {"feature_weights": ("1", 1, 1)},
-    {"center_align": "no"}, {"r_th": float("inf")}, {"r_th": float("nan")},
+    {"r_th": float("inf")}, {"r_th": float("nan")},
+    {"feature_weights": (float("nan"), 1, 1)}, {"feature_weights": (float("inf"), 1, 1)},
 ])
 def test_config_rejects_wrong_types(values):
     with pytest.raises(ValueError, match=next(iter(values))):
