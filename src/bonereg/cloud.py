@@ -12,11 +12,18 @@ import numpy as np
 
 
 def _first_occurrence(pts: np.ndarray):
-    """Indices keeping the first copy of each duplicate row, or None if unique."""
-    _, first = np.unique(pts, axis=0, return_index=True)
-    if first.size == pts.shape[0]:
+    """Indices keeping the first copy of each duplicate row, or None if unique.
+
+    A stable sort by (x, y, z) puts equal rows next to each other in index
+    order, so each run of equal rows starts with its first copy; -0.0 and
+    0.0 compare equal."""
+    order = np.lexsort(pts.T[::-1])
+    rows = pts[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    if first.all():
         return None
-    return np.sort(first)
+    return np.sort(order[first])
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,17 @@ only tie the nearest when the window's two numpy distances are within
 the tree's own nearest distance, the value a k=1 tree query gives. A
 ball query keeps the tree's candidates whose numpy squared distance is
 within the squared radius.
+
+nearest also returns a certificate for the same rows at their next
+positions (a cached k-d tree search, Nuechter, Lingemann & Hertzberg
+2007, kept exact): per row, the query the tree last answered (its
+anchor), the answer, and the window's second tree distance, a lower
+bound on the anchor's distance to every other indexed point. A moved row
+keeps its answer without a tree search when it equals its anchor, or
+when its distance to the answer plus its distance from the anchor is
+below the bound by a margin wider than the fallback's 1e-12, so a row
+whose answer is not the window's first point is never kept that way.
+A kept row's distance comes from d_c, which is the tree's bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +56,11 @@ TWO_PI = 2.0 * np.pi
 _TIE_PAD = 8
 # radius inflation covering kd-tree rounding at the boundary
 _R_INFLATE = 1.0 + 1e-9
+# absolute slack of the nearest certificate: keeps the squared distances
+# it relies on clear of floating-point underflow. Every distance is taken
+# from coordinate differences, so its rounding is relative to itself
+# (covered by _R_INFLATE) however far the points are from the origin.
+_CERT_SLACK = 1e-100
 
 
 class SpatialIndex:
@@ -65,12 +81,32 @@ class SpatialIndex:
         (distance, index)."""
         return self._ranked(queries, k, _TIE_PAD)[0]
 
-    def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(idx, dist) for m query points: idx the lowest-index nearest
-        neighbor, as knn_batch(queries, 1)[:, 0]; dist the distance to the
-        nearest indexed point as the k-d tree computes it."""
-        idx, dist = self._ranked(queries, 1, 1)
-        return idx[:, 0], dist[:, 0]
+    def nearest(self, queries: np.ndarray, prior: tuple | None = None) -> tuple:
+        """(idx, dist, cert) for m query points: idx the lowest-index
+        nearest neighbor, as knn_batch(queries, 1)[:, 0]; dist the distance
+        to the nearest indexed point as the k-d tree computes it; cert the
+        certificate to pass as prior with the same rows at their next
+        positions, so rows whose answer provably stands skip the tree."""
+        queries = np.asarray(queries, dtype=float).reshape(-1, 3)
+        if prior is None:
+            m = queries.shape[0]
+            anchors, idx, dist, bound = np.empty((m, 3)), np.empty(m, np.int64), \
+                np.empty(m), np.empty(m)
+            rows = np.arange(m)
+        else:
+            anchors, idx, bound = (a.copy() for a in prior)
+            dist = d_c(np.take(self.points, idx, axis=0), queries)
+            kept = (dist + d_c(queries, anchors)) * _R_INFLATE + _CERT_SLACK < bound
+            rows = np.flatnonzero(~kept)
+            # an unmoved query keeps its answer, ties included
+            rows = rows[(queries[rows] != anchors[rows]).any(axis=1)]
+        if prior is None or rows.size:
+            near, window = self._ranked(queries[rows], 1, 1)
+            idx[rows] = near[:, 0]
+            dist[rows] = window[:, 0]
+            bound[rows] = window[:, 1] if len(self) > 1 else np.inf
+            anchors[rows] = queries[rows]
+        return idx, dist, (anchors, idx, bound)
 
     def _ranked(self, queries: np.ndarray, k: int, pad: int):
         """(m, k) exact neighbor indices from a window of k + pad tree
@@ -247,8 +283,9 @@ def d_s(a, b, weights=(1.0, 1.0, 1.0)):
 
 
 def d_c(a, b):
-    """Euclidean distance, broadcasting over leading dimensions."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = a - b
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    """Euclidean distance between 3-D points, broadcasting over leading
+    dimensions. The squares add in coordinate order, as in the k-d tree
+    and in np.sum over the last axis, so all three agree bit for bit."""
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    sq = diff * diff
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])

@@ -59,6 +59,8 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         if r.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ValueError("rotation and translation must be finite")
         if np.abs(r.T @ r - np.eye(3)).max() > self._TOL:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > self._TOL:
@@ -287,8 +289,10 @@ def _iterate(points: np.ndarray, tgt_index: SpatialIndex, config: CsnIcpConfig,
     Each iteration solves on the kept pairs, composes the step into the
     running transform and records the full-cloud RMSE. One nearest query
     per candidate pose gives both that RMSE and the next step's primary
-    matches. The loop stops on |delta RMSE| < tolerance, or reverts the
-    step and stops if the RMSE would increase, so the recorded trace
+    matches; it carries the certificate of the last accepted pose, so
+    only points whose nearest target point may have changed search the
+    tree again. The loop stops on |delta RMSE| < tolerance, or reverts
+    the step and stops if the RMSE would increase, so the recorded trace
     never rises.
     """
     moving = points
@@ -297,7 +301,7 @@ def _iterate(points: np.ndarray, tgt_index: SpatialIndex, config: CsnIcpConfig,
         shift = tgt_index.points.mean(axis=0) - moving.mean(axis=0)
         moving = moving + shift
         total = RigidTransform(np.eye(3), shift)
-    primary, dist = tgt_index.nearest(moving)
+    primary, dist, cert = tgt_index.nearest(moving)
     prev = metrics.root_mean_square(dist)
     trace: list[float] = []
     converged = False
@@ -307,12 +311,12 @@ def _iterate(points: np.ndarray, tgt_index: SpatialIndex, config: CsnIcpConfig,
         kept = np.nonzero(keep)[0]
         step = solve_rigid(moving[kept], tgt_index.points[tgt_idx[kept]])
         candidate = step.apply(moving)
-        cand_primary, dist = tgt_index.nearest(candidate)
+        cand_primary, dist, cand_cert = tgt_index.nearest(candidate, cert)
         cur = metrics.root_mean_square(dist)
         if trace and cur > trace[-1]:
             converged = True
             break
-        moving, primary = candidate, cand_primary
+        moving, primary, cert = candidate, cand_primary, cand_cert
         total = step.compose(total)
         trace.append(cur)
         accepted = int(kept.size)

@@ -140,6 +140,9 @@ class PerturbationSpec:
         trans = tuple(float(x) for x in self.translation)
         if len(trans) != 3:
             raise ValueError("translation must be a 3-vector")
+        values = (*axis, self.rotation_angle, *trans, self.noise_sigma, self.keep_fraction)
+        if not np.isfinite(values).all():
+            raise ValueError("perturbation values must be finite")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         if not 0.0 < self.keep_fraction <= 1.0:

@@ -241,13 +241,16 @@ def test_build_cloud_malformed_manifest_exit_1(tmp_path, capsys, edit):
      None, "translation"),
     (None, {"rotation_axis": [0, 0, 1], "rotation_angle": None, "translation": [0, 0, 0]},
      None, "rotation_angle"),
+    (None, {"rotation_axis": [0, 0, 1], "rotation_angle": 0.1, "translation": [0, 0, 0],
+            "noise_sigma": float("nan")}, None, "finite"),
     ({"shape": "ellipsoid", "point_count": "many", "seed": 1}, None, None, "point_count"),
     ({"shape": "ellipsoid", "point_count": float("inf"), "seed": 1}, None, None,
      "point_count"),
     ({"shape": "ellipsoid", "point_count": 500, "seed": 1, "semi_axes": "123"}, None, None,
      "semi_axes"),
 ], ids=["list-perturbation", "list-perturbation-seed", "string-phantom-seed",
-        "int-translation", "null-angle", "string-count", "inf-count", "string-axes"])
+        "int-translation", "null-angle", "nan-noise", "string-count", "inf-count",
+        "string-axes"])
 def test_synth_malformed_spec_exit_1(tmp_path, capsys, phantom, perturbation, seed, message):
     pp, vp = write_specs(tmp_path, phantom, perturbation)
     flags = [] if seed is None else ["--seed", seed]

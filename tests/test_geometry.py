@@ -23,6 +23,30 @@ def brute_radius(pts, center, r):
     return np.nonzero(d2 <= r * r)[0]
 
 
+def unique_rows(pts):
+    """np.unique's first copy of each distinct row, in input order."""
+    return pts[np.sort(np.unique(pts, axis=0, return_index=True)[1])]
+
+
+@pytest.mark.parametrize("pts", [
+    np.zeros((0, 3)),
+    np.array([[0.5, -1.0, 2.0]]),
+    np.ones((5, 3)),
+    np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, -0.0, 0.0], [1.0, 0.0, -0.0]]),
+], ids=["empty", "one-row", "all-duplicate", "signed-zero"])
+def test_cloud_drops_duplicates_like_unique(pts):
+    got = PointCloud(pts).points
+    assert got.tobytes() == unique_rows(pts).tobytes()
+
+
+def test_cloud_drops_duplicates_like_unique_random():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        pts = rng.integers(-1, 2, size=(rng.integers(0, 30), 3)) * 0.5
+        pts[rng.random(pts.shape) < 0.3] *= -1.0  # -0.0 where the value is 0
+        assert PointCloud(pts).points.tobytes() == unique_rows(pts).tobytes()
+
+
 def test_knn_simple():
     cloud = PointCloud(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], float))
     index = SpatialIndex(cloud)

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from bonereg import SpatialIndex, d_s
+from bonereg import RigidTransform, SpatialIndex, d_s
 from bonereg.registration import _ball_table, _correspond_arrays
 
 coords = st.floats(-4.0, 4.0, allow_nan=False, width=64)
@@ -75,9 +75,86 @@ def test_knn_batch_matches_scan(case):
 @given(nearest_cases())
 def test_nearest_matches_scan_and_tree(case):
     pts, queries = case
-    idx, dist = SpatialIndex(pts).nearest(queries)
+    idx, dist, _ = SpatialIndex(pts).nearest(queries)
     assert idx.tolist() == [brute_knn(pts, q, 1)[0] for q in queries]
     assert dist.tobytes() == cKDTree(pts).query(queries, k=1)[0].tobytes()
+
+
+def signed_permutations():
+    """Rotations that map the integer lattice onto itself."""
+    def matrix(perm, signs):
+        r = np.eye(3)[list(perm)] * np.array(signs, dtype=float)[:, None]
+        r[2] *= np.linalg.det(r)
+        return r
+    return st.builds(matrix, st.permutations(range(3)), st.tuples(*[st.sampled_from([-1, 1])] * 3))
+
+
+def moves():
+    """Steps of a moving query set: identity, a return to the previous
+    positions, tiny and large rigid motions, and lattice motions (signed
+    axis permutations plus half-integer shifts) that keep exact ties."""
+    tiny = st.floats(-1e-9, 1e-9)
+    half = st.integers(-4, 4).map(lambda v: v / 2.0)
+    axis = st.tuples(coords, coords, coords).filter(lambda a: np.linalg.norm(a) > 1e-3)
+    rigid = st.builds(RigidTransform.from_axis_angle, axis,
+                      st.one_of(tiny, st.floats(-np.pi, np.pi)),
+                      st.one_of(st.tuples(tiny, tiny, tiny), st.tuples(coords, coords, coords)))
+    lattice = st.builds(RigidTransform, signed_permutations(), st.tuples(half, half, half))
+    return st.one_of(st.just("identity"), st.just("reverse"), rigid, lattice)
+
+
+@st.composite
+def nearest_chains(draw):
+    pts = draw(clouds())
+    return (pts, draw(queries_for(pts)), draw(st.lists(moves(), min_size=1, max_size=6)),
+            draw(st.sampled_from([0.0, 1e3])))
+
+
+@example(EQUIDISTANT + (["identity", "reverse"], 0.0))
+@given(nearest_chains())
+def test_nearest_certificate_matches_scan_and_tree(case):
+    """A chain of poses, each query carrying the last one's certificate,
+    gives the brute-force nearest and the tree's own distance at every
+    pose; an unmoved query set sends no row to the tree. The cloud and the
+    queries may sit 1e3 from the origin."""
+    pts, pose, steps, offset = case
+    target = pts + offset
+    index, tree = SpatialIndex(target), cKDTree(target)
+    sent = []
+    ranked = index._ranked
+    index._ranked = lambda q, k, pad: sent.append(len(q)) or ranked(q, k, pad)
+    previous, cert = pose, None
+    for step in [None] + steps:
+        if step == "identity":
+            new = pose
+        elif step == "reverse":
+            new = previous
+        else:
+            new = pose if step is None else step.apply(pose)
+        queries = new + offset
+        sent.clear()
+        idx, dist, cert = index.nearest(queries, cert)
+        assert idx.tolist() == [brute_knn(target, q, 1)[0] for q in queries]
+        assert dist.tobytes() == tree.query(queries, k=1)[0].tobytes()
+        if new is pose and step is not None:
+            assert sent == []
+        previous, pose = pose, new
+
+
+def test_nearest_certificate_skips_most_rows_after_a_small_move():
+    rng = np.random.default_rng(2)
+    pts = rng.normal(size=(500, 3))
+    index = SpatialIndex(pts)
+    queries = pts[:200] + rng.normal(scale=0.01, size=(200, 3))
+    cert = index.nearest(queries)[2]
+    sent = []
+    ranked = index._ranked
+    index._ranked = lambda q, k, pad: sent.append(len(q)) or ranked(q, k, pad)
+    moved = RigidTransform.from_axis_angle((1.0, 2.0, 0.5), 1e-3, (1e-3, 0.0, 0.0)).apply(queries)
+    idx, dist, _ = index.nearest(moved, cert)
+    assert idx.tolist() == [brute_knn(pts, q, 1)[0] for q in moved]
+    assert dist.tobytes() == cKDTree(pts).query(moved, k=1)[0].tobytes()
+    assert sum(sent) < 20
 
 
 def test_nearest_empty_index_raises():

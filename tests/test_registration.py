@@ -39,6 +39,23 @@ def test_transform_algebra():
     assert np.allclose(d_before, d_after, rtol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transform_rejects_non_finite(bad):
+    rot = np.eye(3)
+    rot[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RigidTransform(rot, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        RigidTransform(np.full((3, 3), bad), np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        RigidTransform(np.eye(3), np.array([0.0, bad, 0.0]))
+    text = '{"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "T": [0, 0, 0]}'
+    for doc in (text.replace("[1, 0, 0]", "[NaN, 0, 0]"),
+                text.replace('"T": [0, 0, 0]', '"T": [0, Infinity, 0]')):
+        with pytest.raises(ValueError, match="finite"):
+            RigidTransform.from_json(doc)
+
+
 def test_transform_json_round_trip():
     t = RigidTransform.from_axis_angle((0, 0, 1), 0.3, (0.1, -0.2, 0.7))
     back = RigidTransform.from_json(t.to_json())
@@ -251,9 +268,9 @@ def test_one_nearest_query_per_pose(monkeypatch, register):
         knn_ks.append(k)
         return knn_batch(self, queries, k)
 
-    def counted_nearest(self, queries):
+    def counted_nearest(self, queries, prior=None):
         nearest_calls.append(len(queries))
-        return nearest(self, queries)
+        return nearest(self, queries, prior)
 
     monkeypatch.setattr(SpatialIndex, "knn_batch", counted_knn)
     monkeypatch.setattr(SpatialIndex, "nearest", counted_nearest)

@@ -172,6 +172,17 @@ def test_perturb_spec_validation():
                          translation=(0, 0, 0), noise_sigma=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", np.nan), ("noise_sigma", np.inf), ("rotation_angle", np.nan),
+    ("rotation_axis", (np.nan, 0.0, 0.0)), ("translation", (0.0, np.inf, 0.0)),
+])
+def test_perturb_spec_rejects_non_finite(field, value):
+    fields = dict(rotation_axis=(1.0, 0.0, 0.0), rotation_angle=0.0, translation=(0, 0, 0))
+    fields[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        PerturbationSpec(**fields)
+
+
 def test_voxelize_single_point():
     cloud = PointCloud(np.array([[0.3, 0.7, 0.1]]))
     stack = voxelize_to_stack(cloud, 1.0, 1.0, closing_iterations=0)
