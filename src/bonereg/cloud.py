@@ -62,19 +62,44 @@ class PointCloud:
 
 def save_xyz(cloud: PointCloud, path) -> None:
     """Write a cloud as ASCII "x y z" lines, one point per line with 9
-    significant digits."""
-    np.savetxt(path, cloud.points, fmt="%.9g")
+    significant digits; an empty cloud writes an empty file.
+
+    The whole cloud is formatted by one % operation and written at once;
+    the bytes equal np.savetxt(path, cloud.points, fmt="%.9g")."""
+    pts = cloud.points
+    Path(path).write_text(("%.9g %.9g %.9g\n" * len(pts)) % tuple(pts.ravel().tolist()))
 
 
-def load_xyz(path) -> PointCloud:
-    """Read an ASCII "x y z" cloud written by save_xyz; a line with any
-    other column count is a ValueError naming that line."""
-    lines = Path(path).read_text().splitlines()
+def _parse_rows(lines: list[str], path) -> np.ndarray:
+    """Per-line parse: split each non-blank line on whitespace, name the
+    first line whose column count is not 3, and convert every token with
+    float()."""
     rows = [ln.split() for ln in lines if ln.strip()]
-    if not rows:
-        return PointCloud(np.zeros((0, 3)))
     if set(map(len, rows)) != {3}:
         lineno, width = next((i, len(f)) for i, f in enumerate(map(str.split, lines), 1)
                              if f and len(f) != 3)
         raise ValueError(f"{path}, line {lineno}: expected 3 columns, found {width}")
-    return PointCloud(np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)
+
+
+def load_xyz(path) -> PointCloud:
+    """Read an ASCII "x y z" cloud written by save_xyz; a line with any
+    other column count is a ValueError naming that line, and a file of
+    blank lines is the empty cloud.
+
+    The lines are parsed in one C-level np.loadtxt pass. Should it raise
+    or not give an (n, 3) array, the per-line parser (_parse_rows) reads
+    them instead: it accepts what float() accepts (digit separators,
+    non-ASCII digits) and raises the column-count and conversion errors,
+    so the values and errors are those of the per-line parser alone."""
+    text = Path(path).read_text()
+    if not text or text.isspace():
+        return PointCloud(np.zeros((0, 3)))
+    lines = text.splitlines()
+    try:
+        pts = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        pts = None
+    if pts is None or pts.shape[1] != 3:
+        pts = _parse_rows(lines, path)
+    return PointCloud(pts)

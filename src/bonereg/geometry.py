@@ -120,7 +120,7 @@ class SpatialIndex:
         kq = min(k + pad, n)
         dist, idx = self._tree.query(queries, k=kq)
         idx = idx.reshape(m, kq)
-        diffs = self.points[idx] - queries[:, None, :]
+        diffs = np.take(self.points, idx, axis=0) - queries[:, None, :]
         d2 = np.sum(diffs * diffs, axis=2)
         # the tree ranks by its own distance arithmetic; few rows disagree
         lo, hi = d2[:, :-1], d2[:, 1:]
@@ -238,7 +238,7 @@ def _feature_arrays(pts: np.ndarray, nbr: np.ndarray):
     the eigenvector of the smallest covariance eigenvalue, curvature its
     share of the eigenvalue sum.
     """
-    nb = pts[nbr]
+    nb = np.take(pts, nbr, axis=0)
     centroids = nb.mean(axis=1)
     centered = nb - centroids[:, None, :]
     cov = np.einsum("nki,nkj->nij", centered, centered)

@@ -45,7 +45,7 @@ class SliceMask:
         bits = np.asarray(self.bits)
         if bits.ndim != 2:
             raise ValueError("mask bits must be 2D")
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("mask bits must contain only 0/1 values")
         object.__setattr__(self, "bits", bits.astype(np.uint8))
         if self.z_index < 0:

@@ -248,7 +248,7 @@ def _correspond_arrays(moving_pts, moving_sph, primary, tgt_pts, tgt_sph, balls,
     begins = np.cumsum(counts) - counts
     rows = np.repeat(np.arange(n), counts)
     flat = indices[np.arange(rows.size) + np.repeat(starts - begins, counts)]
-    ds_all = d_s(moving_sph[rows], tgt_sph[flat], weights)
+    ds_all = d_s(np.take(moving_sph, rows, axis=0), np.take(tgt_sph, flat, axis=0), weights)
     # every ball holds its own centre, so no row is empty; a NaN d_s ranks
     # last, and a row of NaNs ties throughout
     best = np.fmin.reduceat(ds_all, begins)[rows]
@@ -262,7 +262,7 @@ def _correspond_arrays(moving_pts, moving_sph, primary, tgt_pts, tgt_sph, balls,
     hit = tied & (flat == primary[rows])
     sel[rows[hit]] = np.flatnonzero(hit)
     chosen = flat[sel]
-    return chosen, d_c(moving_pts, tgt_pts[chosen]), ds_all[sel]
+    return chosen, d_c(moving_pts, np.take(tgt_pts, chosen, axis=0)), ds_all[sel]
 
 
 def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.ndarray:
@@ -309,7 +309,8 @@ def _iterate(points: np.ndarray, tgt_index: SpatialIndex, config: CsnIcpConfig,
     for _ in range(config.max_iterations):
         tgt_idx, keep = make_step(moving, primary, total.rotation)
         kept = np.nonzero(keep)[0]
-        step = solve_rigid(moving[kept], tgt_index.points[tgt_idx[kept]])
+        step = solve_rigid(np.take(moving, kept, axis=0),
+                           np.take(tgt_index.points, tgt_idx[kept], axis=0))
         candidate = step.apply(moving)
         cand_primary, dist, cand_cert = tgt_index.nearest(candidate, cert)
         cur = metrics.root_mean_square(dist)

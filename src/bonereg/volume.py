@@ -32,7 +32,7 @@ class MaskVolume:
         bits = np.asarray(self.bits)
         if bits.ndim != 3:
             raise ValueError("volume bits must be 3D")
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("volume bits must contain only 0/1 values")
         object.__setattr__(self, "bits", bits.astype(np.uint8))
         pitch = tuple(float(p) for p in self.voxel_pitch)
