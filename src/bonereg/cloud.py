@@ -31,7 +31,10 @@ class PointCloud:
     """Ordered 3D point set.
 
     Exact duplicate rows are dropped at construction; the first occurrence
-    wins and the remaining order is preserved.
+    wins and the remaining order is preserved. The cloud keeps its own
+    read-only copy of the points: changing the array it was made from
+    does not change it, and writing into cloud.points raises ValueError,
+    so what is derived from a cloud (geometry.cloud_index) stays valid.
     """
 
     points: np.ndarray
@@ -43,8 +46,8 @@ class PointCloud:
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         keep = _first_occurrence(pts)
-        if keep is not None:
-            pts = pts[keep]
+        pts = pts.copy() if keep is None else pts[keep]
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:

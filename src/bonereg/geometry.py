@@ -39,10 +39,16 @@ when its distance to the answer plus its distance from the anchor is
 below the bound by a margin wider than the fallback's 1e-12, so a row
 whose answer is not the window's first point is never kept that way.
 A kept row's distance comes from d_c, which is the tree's bit for bit.
+
+A PointCloud's points are read-only, so what is derived from them stays
+valid while the cloud lives: cloud_index gives each live cloud one
+SpatialIndex, and cloud_tables keeps one more set of tables beside it.
+Both are kept in a weak-keyed memo and go with the cloud.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -159,6 +165,35 @@ class SpatialIndex:
         keep = np.sum(diff * diff, axis=1) <= r2[rows]
         kept = np.bincount(rows[keep], minlength=m)
         return np.split(cand[keep], np.cumsum(kept)[:-1]) if m else []
+
+
+# cloud -> [its SpatialIndex, (build, args), the tables they built], keyed
+# by the cloud object (PointCloud hashes by identity); a value must not
+# refer to its cloud, or the cloud would never be collected
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _derived(cloud: PointCloud) -> list:
+    state = _DERIVED.get(cloud)
+    if state is None:
+        state = _DERIVED[cloud] = [SpatialIndex(cloud), None, None]
+    return state
+
+
+def cloud_index(cloud: PointCloud) -> SpatialIndex:
+    """The cloud's SpatialIndex, built on the first call and kept for as
+    long as the cloud lives."""
+    return _derived(cloud)[0]
+
+
+def cloud_tables(cloud: PointCloud, build, *args):
+    """build(cloud_index(cloud), *args), kept with the cloud's index and
+    returned again while build and args stay the same; a call with others
+    builds its tables and keeps them in place of the old ones."""
+    state = _derived(cloud)
+    if state[1] != (build, args):
+        state[1:] = (build, args), build(state[0], *args)
+    return state[2]
 
 
 def jacobi_eigh3(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

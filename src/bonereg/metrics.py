@@ -9,7 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 from .cloud import PointCloud
-from .geometry import SpatialIndex
+from .geometry import SpatialIndex, cloud_index
 from .mask_io import SliceMask
 
 
@@ -60,7 +60,7 @@ def rmse(moving: PointCloud, target: PointCloud) -> float:
     nearest target point, root-mean-squared over the moving cloud only."""
     if len(moving) == 0 or len(target) == 0:
         raise ValueError("empty cloud")
-    return nn_rmse(moving.points, SpatialIndex(target))
+    return nn_rmse(moving.points, cloud_index(target))
 
 
 def binary_close(bits: np.ndarray, iterations: int = 2) -> np.ndarray:

@@ -11,7 +11,9 @@ independently, modeling articulated motion; csn_icp is its one-bin case.
 
 Each step has one kernel, working on whole arrays: _correspond_arrays
 matches every moving point (scored with geometry.d_s and d_c) and
-_reject_mask applies the median-relative thresholds.
+_reject_mask applies the median-relative thresholds. What depends on the
+target alone (its k-d tree, features and r_th-ball table) is built once
+per target cloud and kept while the cloud lives.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from functools import partial
 import numpy as np
 
 from .cloud import PointCloud
-from .geometry import SpatialIndex, _angles, _feature_arrays, d_c, d_s
+from .geometry import (SpatialIndex, _angles, _feature_arrays, cloud_index, cloud_tables,
+                       d_c, d_s)
 from . import metrics
 
 
@@ -235,6 +238,13 @@ def _ball_table(index: SpatialIndex, r_th: float) -> tuple[np.ndarray, np.ndarra
     return indptr, np.concatenate(balls)
 
 
+def _target_tables(index: SpatialIndex, k: int, r_th: float):
+    """(tgt_sph, balls): the (curvature, phi, theta) row of every indexed
+    point from its k-neighborhood, and the r_th-ball table."""
+    normals, curv = _feature_arrays(index.points, index.knn_batch(index.points, k))
+    return np.column_stack([curv, *_angles(normals)]), _ball_table(index, r_th)
+
+
 def _correspond_arrays(moving_pts, moving_sph, primary, tgt_pts, tgt_sph, balls, weights):
     """Two-stage match: primary[i] is moving point i's Cartesian nearest
     neighbor (SpatialIndex.nearest); the match is the minimum feature
@@ -348,10 +358,8 @@ def _csn_bins(source: PointCloud, target: PointCloud,
         # a ball that wide holds every target point: an n^2 ball table
         raise ValueError(f"r_th={r_th:g} must be below the target's bounding-box "
                          f"diagonal {diag:g}")
-    index = SpatialIndex(target)
-    tgt_normals, tgt_curv = _feature_arrays(target.points, index.knn_batch(target.points, k))
-    tgt_sph = np.column_stack([tgt_curv, *_angles(tgt_normals)])
-    balls = _ball_table(index, r_th)
+    index = cloud_index(target)
+    tgt_sph, balls = cloud_tables(target, _target_tables, k, r_th)
     normals, curv = _feature_arrays(source.points,
                                     SpatialIndex(source).knn_batch(source.points, k))
 
@@ -372,12 +380,14 @@ def csn_icp(source: PointCloud, target: PointCloud,
     and median-relative pair rejection.
 
     The target's index, features and r_th-ball table are built once per
-    run: the balls are centred on target points, so they stay fixed
-    while the source moves. The source features are estimated once per
-    run, over the whole source at its own pose: rigid motion keeps each
-    point's k-neighborhood, curvature and normal sign, and only rotates
-    its normal, so each iteration takes (phi, theta) from the source
-    normals turned by the running rotation.
+    target cloud (geometry.cloud_index and cloud_tables): they depend on
+    the target alone, the balls are centred on target points, and the
+    cloud's points are read-only, so later runs onto the same cloud
+    object, with the same k and r_th, reuse them. The source features
+    are estimated once per run, over the whole source at its own pose:
+    rigid motion keeps each point's k-neighborhood, curvature and normal
+    sign, and only rotates its normal, so each iteration takes
+    (phi, theta) from the source normals turned by the running rotation.
     """
     config = config or CsnIcpConfig()
     if config.partitions > 1:
@@ -394,7 +404,7 @@ def icp_classic(source: PointCloud, target: PointCloud,
         raise ValueError("icp_classic registers one body; partitions > 1 need partition_register")
     if len(source) == 0 or len(target) == 0:
         raise ValueError("clouds must be non-empty")
-    index = SpatialIndex(target)
+    index = cloud_index(target)
 
     def make_step(moving_pts, primary, _rotation):
         return primary, np.ones(len(moving_pts), dtype=bool)
@@ -416,10 +426,10 @@ def partition_register(source: PointCloud, target: PointCloud,
     """Register x-sorted bins of the source independently onto the full
     target; one transform per bin.
 
-    With partitions=1 this is exactly csn_icp. The bins share csn_icp's
-    one build of the target's tables and one estimate of the source
-    features over the whole source, so no k-neighborhood ends at a bin
-    edge. The reported trace is the RMSE of the union of the transformed
+    With partitions=1 this is exactly csn_icp. The bins share the
+    target's tables, built once per target cloud, and one estimate of
+    the source features over the whole source, so no k-neighborhood ends
+    at a bin edge. The reported trace is the RMSE of the union of the transformed
     bins, with bins that converge early held at their final pose.
     """
     config = config or CsnIcpConfig()

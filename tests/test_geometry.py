@@ -47,6 +47,21 @@ def test_cloud_drops_duplicates_like_unique_random():
         assert PointCloud(pts).points.tobytes() == unique_rows(pts).tobytes()
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]],
+    [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [0.0, 1.0, 2.0]],
+], ids=["unique", "with-duplicate"])
+def test_cloud_owns_read_only_points(rows):
+    pts = np.array(rows)
+    cloud = PointCloud(pts)
+    before = cloud.points.tobytes()
+    pts[0, 0] = 42.0
+    assert cloud.points.tobytes() == before
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 42.0
+    assert cloud.points.tobytes() == before
+
+
 def test_knn_simple():
     cloud = PointCloud(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], float))
     index = SpatialIndex(cloud)

@@ -1,6 +1,7 @@
 """Golden outputs: the sha256 of every file one small stack run of the
-CLI writes (build-cloud, register --algorithm icp, evaluate), pinned in
-golden.json with the numpy and scipy versions that made them.
+CLI writes (build-cloud, register --algorithm icp, evaluate), and of the
+report JSON of a few in-memory registrations, pinned in golden.json with
+the numpy and scipy versions that made them.
 
 A change that moves an output byte fails here. When it is meant to, the
 new digests go into golden.json in the same change, written by running
@@ -20,8 +21,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from bonereg import (PerturbationSpec, PhantomSpec, make_phantom, perturb, voxelize_to_stack,
-                     write_stack)
+from bonereg import (CsnIcpConfig, PerturbationSpec, PhantomSpec, PointCloud, RigidTransform,
+                     csn_icp, icp_classic, make_phantom, partition_register, perturb,
+                     report_to_dict, voxelize_to_stack, write_stack)
 from bonereg.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -51,17 +53,62 @@ def stack_run_digests(workdir: Path) -> dict[str, str]:
             for name in STACK_FILES}
 
 
+def registration_cases() -> dict:
+    """name -> (register, source, target, config): csn_icp on two 10-25
+    degree moves of a two-lobe phantom, icp_classic on the first, and
+    partition_register on the phantom with its x < 0 and x >= 0 halves
+    turned apart."""
+    target = make_phantom(PhantomSpec("two_lobe_pelvis", 1500, 13))
+    moves = [perturb(target, PerturbationSpec(
+        rotation_axis=axis, rotation_angle=math.radians(degrees), translation=shift,
+        noise_sigma=0.002, keep_fraction=0.9, seed=seed))[0]
+        for axis, degrees, shift, seed in (((0.48, 0.6, 0.64), 12.0, (0.03, -0.02, 0.01), 21),
+                                           ((-0.6, 0.0, 0.8), 22.0, (-0.04, 0.01, 0.03), 22))]
+    pts = target.points
+    halves = [RigidTransform.from_axis_angle(axis, math.radians(6.0), shift)
+              for axis, shift in (((0.0, 1.0, 0.3), (0.01, 0.0, 0.0)),
+                                  ((0.2, 0.0, 1.0), (0.0, -0.01, 0.0)))]
+    articulated = PointCloud(np.where(pts[:, :1] < 0.0, halves[0].apply(pts), halves[1].apply(pts)))
+    return {"csn_icp_a": (csn_icp, moves[0], target, CsnIcpConfig()),
+            "csn_icp_b": (csn_icp, moves[1], target, CsnIcpConfig()),
+            "icp_classic": (icp_classic, moves[0], target, CsnIcpConfig()),
+            "partition_register_2": (partition_register, articulated, target,
+                                     CsnIcpConfig(partitions=2))}
+
+
+def registration_digests() -> dict[str, str]:
+    """sha256 of each case's report JSON. Every case runs twice onto its
+    target and once onto a fresh copy of it, and all three reports must
+    be equal."""
+    out = {}
+    for name, (register, source, target, config) in registration_cases().items():
+        fresh = PointCloud(target.points.copy())
+        texts = {json.dumps(report_to_dict(register(source, onto, config)))
+                 for onto in (target, target, fresh)}
+        assert len(texts) == 1, f"{name}: reports differ between runs"
+        out[name] = hashlib.sha256(texts.pop().encode()).hexdigest()
+    return out
+
+
 def versions() -> dict[str, str]:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def test_stack_cli_outputs_match_golden(tmp_path, capsys):
+def pinned_golden() -> dict:
     golden = json.loads(GOLDEN.read_text())
     pinned = {k: golden[k] for k in ("numpy", "scipy")}
     assert versions() == pinned, (
         f"golden digests are pinned for numpy {pinned['numpy']} and scipy {pinned['scipy']}, "
         f"this is numpy {np.__version__} and scipy {scipy.__version__}")
-    assert stack_run_digests(tmp_path) == golden["stack_cli"]
+    return golden
+
+
+def test_stack_cli_outputs_match_golden(tmp_path, capsys):
+    assert stack_run_digests(tmp_path) == pinned_golden()["stack_cli"]
+
+
+def test_registration_reports_match_golden():
+    assert registration_digests() == pinned_golden()["registration"]
 
 
 if __name__ == "__main__":
@@ -71,5 +118,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         digests = stack_run_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps({**versions(), "stack_cli": digests}, indent=2) + "\n")
+    GOLDEN.write_text(json.dumps({**versions(), "stack_cli": digests,
+                                  "registration": registration_digests()}, indent=2) + "\n")
     print(f"wrote {GOLDEN}")

@@ -1,3 +1,7 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,9 +10,9 @@ from bonereg import (CsnIcpConfig, DegenerateGeometryError, DivergenceError,
                      icp_classic, make_phantom, partition_indices, partition_register,
                      perturb, rotation_angle_between, solve_rigid,
                      PerturbationSpec, PhantomSpec, SpatialIndex)
-from bonereg import geometry, registration
+from bonereg import geometry, metrics, registration
 from bonereg.geometry import _angles, _feature_arrays
-from bonereg.registration import _ball_table, _correspond_arrays, _reject_mask
+from bonereg.registration import _ball_table, _correspond_arrays, _reject_mask, report_to_dict
 
 
 def unit(v):
@@ -281,28 +285,106 @@ def test_one_nearest_query_per_pose(monkeypatch, register):
     assert len(nearest_calls) <= report.iterations_used + 2
 
 
-@pytest.mark.parametrize("partitions", [1, 2])
-def test_one_moving_tree_per_run(monkeypatch, partitions):
-    cloud, target = turned_phantom()
-    builds, mats = [], []
-    init, jacobi = SpatialIndex.__init__, geometry.jacobi_eigh3
+def count_index_work(monkeypatch) -> dict:
+    """Point counts of every tree build, k > 1 query batch, eigen batch
+    and ball batch from here on."""
+    work = {"builds": [], "knn": [], "mats": [], "balls": []}
+    init, knn_batch = SpatialIndex.__init__, SpatialIndex.knn_batch
+    ball_batch, jacobi = SpatialIndex.ball_batch, geometry.jacobi_eigh3
 
     def counted_init(self, points):
-        builds.append(len(points))
+        work["builds"].append(len(points))
         init(self, points)
 
+    def counted_knn(self, queries, k):
+        work["knn"].append(len(queries))
+        return knn_batch(self, queries, k)
+
+    def counted_balls(self, centers, radius):
+        work["balls"].append(len(centers))
+        return ball_batch(self, centers, radius)
+
     def counted_jacobi(cov):
-        mats.append(len(cov))
+        work["mats"].append(len(cov))
         return jacobi(cov)
 
     monkeypatch.setattr(SpatialIndex, "__init__", counted_init)
+    monkeypatch.setattr(SpatialIndex, "knn_batch", counted_knn)
+    monkeypatch.setattr(SpatialIndex, "ball_batch", counted_balls)
     monkeypatch.setattr(geometry, "jacobi_eigh3", counted_jacobi)
+    return work
+
+
+@pytest.mark.parametrize("partitions", [1, 2])
+def test_one_moving_tree_per_run(monkeypatch, partitions):
+    cloud, target = turned_phantom()
+    work = count_index_work(monkeypatch)
     report = partition_register(cloud, target, CsnIcpConfig(partitions=partitions))
     assert report.iterations_used > 2
     # the target's tree and features, then one tree and one feature
     # estimate over the whole moving cloud, at its source pose, whatever
     # the number of bins
-    assert builds == mats == [len(target), len(cloud)]
+    assert work["builds"] == work["mats"] == [len(target), len(cloud)]
+
+
+def report_json(report) -> str:
+    return json.dumps(report_to_dict(report))
+
+
+def test_second_run_onto_a_target_builds_only_the_moving_side(monkeypatch):
+    cloud, target = turned_phantom()
+    first = csn_icp(cloud, target)
+    work = count_index_work(monkeypatch)
+    second = csn_icp(cloud, target)
+    n = len(cloud)
+    assert work == {"builds": [n], "knn": [n], "mats": [n], "balls": []}
+    fresh = csn_icp(cloud, PointCloud(target.points.copy()))
+    assert report_json(first) == report_json(second) == report_json(fresh)
+
+
+def test_changed_k_or_r_th_rebuilds_the_target_tables(monkeypatch):
+    cloud, target = turned_phantom()
+    csn_icp(cloud, target)
+    work = count_index_work(monkeypatch)
+    n, m = len(cloud), len(target)
+    # each config replaces the tables of the one before it, so the
+    # default config builds them again at the end
+    for config in (CsnIcpConfig(k=12), CsnIcpConfig(r_th=0.04), CsnIcpConfig()):
+        for key in work:
+            work[key].clear()
+        report = csn_icp(cloud, target, config)
+        assert work == {"builds": [n], "knn": [m, n], "mats": [m, n], "balls": [m]}
+        fresh = csn_icp(cloud, PointCloud(target.points.copy()), config)
+        assert report_json(report) == report_json(fresh)
+    # the checks still run before any table on a prepared target
+    with pytest.raises(ValueError, match="bounding-box diagonal"):
+        csn_icp(cloud, target, CsnIcpConfig(r_th=target.bbox_diagonal()))
+    with pytest.raises(DegenerateGeometryError):
+        csn_icp(cloud, target, CsnIcpConfig(k=len(cloud) + 1))
+
+
+def test_icp_classic_and_rmse_share_one_target_tree(monkeypatch):
+    cloud, target = turned_phantom()
+    work = count_index_work(monkeypatch)
+    report = icp_classic(cloud, target)
+    moved = PointCloud(report.final_transforms[0].apply(cloud.points))
+    assert metrics.rmse(moved, target) == pytest.approx(report.final_rmse, rel=1e-9)
+    assert work["builds"] == [len(target)]
+
+
+def test_target_state_goes_with_the_target():
+    cloud, target = turned_phantom()
+    gc.collect()
+    held = len(geometry._DERIVED)
+    csn_icp(cloud, target)
+    icp_classic(cloud, target)
+    # one entry, the target's: the moving cloud keeps none
+    assert len(geometry._DERIVED) == held + 1
+    gone = weakref.ref(target)
+    del target
+    gc.collect()
+    assert gone() is None
+    assert len(geometry._DERIVED) == held
 
 
 @pytest.mark.parametrize("register, partitions", [
