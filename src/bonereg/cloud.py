@@ -14,9 +14,14 @@ import numpy as np
 def _first_occurrence(pts: np.ndarray):
     """Indices keeping the first copy of each duplicate row, or None if unique.
 
-    A stable sort by (x, y, z) puts equal rows next to each other in index
-    order, so each run of equal rows starts with its first copy; -0.0 and
-    0.0 compare equal."""
+    Rows with distinct x cannot be equal, so when no two x values are
+    equal after one sort of the x column, the rows are unique. Otherwise a
+    stable sort by (x, y, z) puts equal rows next to each other in index
+    order, so each run of equal rows starts with its first copy. Both
+    tests take -0.0 and 0.0 as equal."""
+    x = np.sort(pts[:, 0])
+    if not (x[1:] == x[:-1]).any():
+        return None
     order = np.lexsort(pts.T[::-1])
     rows = pts[order]
     first = np.ones(order.size, dtype=bool)

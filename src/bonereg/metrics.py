@@ -64,11 +64,13 @@ def rmse(moving: PointCloud, target: PointCloud) -> float:
 
 
 def binary_close(bits: np.ndarray, iterations: int = 2) -> np.ndarray:
-    """Morphological closing with a 3x3 square element: dilate then erode,
-    out-of-bounds treated as background."""
+    """Morphological closing of each 2-D slice of bits, shape (..., h, w),
+    with a 3x3 square element: dilate then erode, out-of-bounds treated as
+    background. A stack is closed in one call; its element is 1 wide
+    along every leading axis, so no slice reaches another."""
     if iterations <= 0:
         return bits.astype(np.uint8)
-    st = np.ones((3, 3), dtype=bool)
+    st = np.ones((1,) * (bits.ndim - 2) + (3, 3), dtype=bool)
     b = ndimage.binary_dilation(bits.astype(bool), st, iterations=iterations)
     b = ndimage.binary_erosion(b, st, iterations=iterations, border_value=0)
     return b.astype(np.uint8)

@@ -177,6 +177,12 @@ class RegistrationReport:
 
     per_iteration_rmse holds the nearest-neighbor RMSE after each applied
     iteration, at least one; final_transforms has one entry per partition.
+
+    The RMSE is that of the moving points as _iterate moved them, one step
+    at a time, so final_rmse may differ in the last bits from
+    metrics.rmse of final_transforms[0] applied to the source in one go
+    (0.0034542008888755775 against ...5723 for icp_classic on the
+    phantom of tests/test_registration.py::turned_phantom).
     """
 
     per_iteration_rmse: list[float]

@@ -207,7 +207,9 @@ def perturb(cloud: PointCloud, spec: PerturbationSpec) -> tuple[PointCloud, Rigi
     Fisher-Yates shuffle that picks the kept points (the swap for
     i = n-1, ..., 1 takes j = floor(u * (i + 1)) from the next uniform);
     then, when noise_sigma > 0, 3m gaussians supply the noise in
-    point-major x, y, z order."""
+    point-major x, y, z order. All n - 1 uniforms are drawn, but only the
+    swaps for i = n-1, ..., m run: the later ones only reorder perm[:m],
+    and the kept points are taken in sorted index order."""
     rng = SplitMix64(spec.seed)
     pts = cloud.points
     n = len(pts)
@@ -217,7 +219,7 @@ def perturb(cloud: PointCloud, spec: PerturbationSpec) -> tuple[PointCloud, Rigi
         m = max(1, int(round(spec.keep_fraction * n)))
         picks = (rng.uniform_batch(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
         perm = np.arange(n)
-        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
+        for i, j in zip(range(n - 1, m - 1, -1), picks[:n - m].tolist()):
             perm[i], perm[j] = perm[j], perm[i]
         pts = pts[np.sort(perm[:m])]
     transform = RigidTransform.from_axis_angle(spec.rotation_axis, spec.rotation_angle,
@@ -233,6 +235,8 @@ def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: floa
                       modality: str = "MR", closing_iterations: int = 2) -> SliceStack:
     """Bin points to a voxel grid anchored at the cloud's low corner; each
     z bin becomes one slice mask, closed per slice to form solid regions.
+    All slices are binned into one volume and closed by one binary_close
+    call.
 
     The in-plane border is padded by closing_iterations pixels so the
     closing never clips at the image edge."""
@@ -249,19 +253,16 @@ def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: floa
     width = int(ix.max()) + 1 + 2 * margin
     height = int(iy.max()) + 1 + 2 * margin
     nz = int(iz.max()) + 1
-    slices = []
-    for z in range(nz):
-        bits = np.zeros((height, width), dtype=np.uint8)
-        sel = iz == z
-        bits[iy[sel] + margin, ix[sel] + margin] = 1
-        slices.append(SliceMask(binary_close(bits, closing_iterations), z_index=z))
+    volume = np.zeros((nz, height, width), dtype=np.uint8)
+    volume[iz, iy + margin, ix + margin] = 1
+    volume = binary_close(volume, closing_iterations)
     manifest = StackManifest(
         modality=modality,
         pixel_spacing_mm=float(pixel_pitch),
         slice_spacing_mm=float(slice_spacing),
         slice_files=tuple(f"slice_{z:04d}.pgm" for z in range(nz)),
     )
-    return SliceStack(manifest, tuple(slices))
+    return SliceStack(manifest, tuple(SliceMask(bits, z_index=z) for z, bits in enumerate(volume)))
 
 
 def _floats(value) -> tuple[float, ...]:

@@ -47,6 +47,41 @@ def test_cloud_drops_duplicates_like_unique_random():
         assert PointCloud(pts).points.tobytes() == unique_rows(pts).tobytes()
 
 
+def float_cloud(rng, kind):
+    """A random float cloud of 2-60 rows: x all distinct, x drawn from
+    three values (rows still distinct), rows copied over others, or x
+    drawn from 0.0 and -0.0 with y-z pairs copied over others."""
+    n = int(rng.integers(2, 61))
+    pts = rng.standard_normal((n, 3))
+    copies = rng.integers(0, n, size=(2, n // 3 + 1))
+    if kind == "tied-x":
+        pts[:, 0] = rng.choice([-1.5, 0.25, 2.0], size=n)
+    elif kind == "planted-duplicates":
+        pts[copies[0]] = pts[copies[1]]
+    elif kind == "signed-zero-x":
+        pts[:, 0] = rng.choice([0.0, -0.0], size=n)
+        pts[copies[0], 1:] = pts[copies[1], 1:]
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["distinct-x", "tied-x", "planted-duplicates",
+                                  "signed-zero-x"])
+def test_cloud_drops_float_duplicates_like_unique(monkeypatch, kind):
+    rng = np.random.default_rng(11)
+    clouds = [float_cloud(rng, kind) for _ in range(200)]
+    wants = [unique_rows(pts) for pts in clouds]
+    lexsort, row_sorts = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: row_sorts.append(1) or lexsort(keys))
+    for pts, want in zip(clouds, wants):
+        assert PointCloud(pts).points.tobytes() == want.tobytes()
+    # the rows are sorted only when two x values are equal
+    tied = sum(len(np.unique(pts[:, 0])) < len(pts) for pts in clouds)
+    assert len(row_sorts) == tied
+    assert (tied == 0) == (kind == "distinct-x")
+    dropped = sum(len(pts) - len(want) for pts, want in zip(clouds, wants))
+    assert (dropped > 0) == (kind in ("planted-duplicates", "signed-zero-x"))
+
+
 @pytest.mark.parametrize("rows", [
     [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]],
     [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [0.0, 1.0, 2.0]],

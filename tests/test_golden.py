@@ -1,7 +1,8 @@
 """Golden outputs: the sha256 of every file one small stack run of the
-CLI writes (build-cloud, register --algorithm icp, evaluate), and of the
-report JSON of a few in-memory registrations, pinned in golden.json with
-the numpy and scipy versions that made them.
+CLI writes (build-cloud, register --algorithm icp, evaluate), of the
+stacks that run reads, of the moved clouds and the report JSON of a few
+in-memory registrations, pinned in golden.json with the numpy and scipy
+versions that made them.
 
 A change that moves an output byte fails here. When it is meant to, the
 new digests go into golden.json in the same change, written by running
@@ -19,6 +20,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from bonereg import (CsnIcpConfig, PerturbationSpec, PhantomSpec, PointCloud, RigidTransform,
@@ -31,10 +33,15 @@ STACK_FILES = ("clouds/ct_cloud.xyz", "clouds/mr_cloud.xyz", "reg/registered.xyz
                "reg/report.json", "eval/overlap.json")
 
 
-def stack_run_digests(workdir: Path) -> dict[str, str]:
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def stack_run_digests(workdir: Path) -> tuple[dict[str, str], dict[str, str]]:
     """Write a CT stack of a two-lobe phantom and an MR stack of a rotated,
     shifted, noisy copy, run the three commands on them and hash what they
-    write."""
+    write. Returns the digests of the stack files (each manifest and PGM,
+    by its path under workdir) and of the command outputs."""
     phantom = make_phantom(PhantomSpec("two_lobe_pelvis", 10000, 11))
     moved, _ = perturb(phantom, PerturbationSpec(
         rotation_axis=(0.0, 0.6, 0.8), rotation_angle=math.radians(8.0),
@@ -49,8 +56,9 @@ def stack_run_digests(workdir: Path) -> dict[str, str]:
              main(["evaluate", str(out / "reg" / "registered.xyz"),
                    str(out / "clouds" / "ct_cloud.xyz"), "--out", str(out / "eval")]))
     assert codes == (0, 0, 0)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in STACK_FILES}
+    stacks = {path.relative_to(workdir).as_posix(): sha256(path.read_bytes())
+              for stack in (ct, mr) for path in sorted(stack.parent.iterdir())}
+    return stacks, {name: sha256((out / name).read_bytes()) for name in STACK_FILES}
 
 
 def registration_cases() -> dict:
@@ -86,8 +94,15 @@ def registration_digests() -> dict[str, str]:
         texts = {json.dumps(report_to_dict(register(source, onto, config)))
                  for onto in (target, target, fresh)}
         assert len(texts) == 1, f"{name}: reports differ between runs"
-        out[name] = hashlib.sha256(texts.pop().encode()).hexdigest()
+        out[name] = sha256(texts.pop().encode())
     return out
+
+
+def move_digests() -> dict[str, str]:
+    """sha256 of the points of the two subsampled, noisy moves that the
+    csn_icp cases register."""
+    cases = registration_cases()
+    return {name: sha256(cases[name][1].points.tobytes()) for name in ("csn_icp_a", "csn_icp_b")}
 
 
 def versions() -> dict[str, str]:
@@ -103,8 +118,17 @@ def pinned_golden() -> dict:
     return golden
 
 
-def test_stack_cli_outputs_match_golden(tmp_path, capsys):
-    assert stack_run_digests(tmp_path) == pinned_golden()["stack_cli"]
+@pytest.fixture(scope="module")
+def stack_run(tmp_path_factory):
+    return stack_run_digests(tmp_path_factory.mktemp("stack_run"))
+
+
+def test_stack_cli_outputs_match_golden(stack_run):
+    assert stack_run[1] == pinned_golden()["stack_cli"]
+
+
+def test_synth_outputs_match_golden(stack_run):
+    assert {"stacks": stack_run[0], "moves": move_digests()} == pinned_golden()["synth"]
 
 
 def test_registration_reports_match_golden():
@@ -117,7 +141,9 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        digests = stack_run_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps({**versions(), "stack_cli": digests,
-                                  "registration": registration_digests()}, indent=2) + "\n")
+        stacks, outputs = stack_run_digests(Path(tmp))
+    GOLDEN.write_text(json.dumps({**versions(), "stack_cli": outputs,
+                                  "registration": registration_digests(),
+                                  "synth": {"stacks": stacks, "moves": move_digests()}},
+                                 indent=2) + "\n")
     print(f"wrote {GOLDEN}")

@@ -169,6 +169,18 @@ def test_closing_matches_brute_force():
                                   brute_close(bits, iterations))
 
 
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+def test_closing_a_stack_closes_each_slice(iterations):
+    rng = np.random.default_rng(iterations)
+    stack = (rng.random((2, 3, 18, 21)) < 0.3).astype(np.uint8)
+    stack[0, 1] = 0  # a slice with no pixel set
+    want = np.array([[binary_close(bits, iterations) for bits in row] for row in stack])
+    for bits, closed in ((stack[0], want[0]), (stack, want)):
+        got = binary_close(bits, iterations)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, closed)
+
+
 def test_closing_fills_small_holes():
     # block kept clear of the image border: erosion treats out-of-bounds
     # as background, so touching the edge would shave it

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bonereg import (PerturbationSpec, PhantomSpec, PointCloud, SplitMix64,
+from bonereg import (PerturbationSpec, PhantomSpec, PointCloud, SplitMix64, binary_close,
                      build_point_cloud, make_phantom, perturb, voxelize_to_stack)
 
 
@@ -39,19 +39,30 @@ def test_splitmix_golden_stream():
     assert [g.next_u64() for _ in range(50)] == [next(ref) for _ in range(50)]
 
 
-def test_perturb_subsample_matches_reference_shuffle():
-    cloud = make_phantom(PhantomSpec("ellipsoid", 997, 2))
+@pytest.mark.parametrize("n, keep_fraction, noise_sigma", [
+    (997, 0.7, 0.0), (997, 0.9, 0.01), (997, 0.001, 0.01), (997, 996 / 997, 0.01),
+    (2, 0.5, 0.01),
+], ids=["keep-0.7", "keep-0.9-noise", "keep-1-noise", "keep-n-1-noise", "n-2-noise"])
+def test_perturb_subsample_matches_reference_shuffle(n, keep_fraction, noise_sigma):
+    cloud = (make_phantom(PhantomSpec("ellipsoid", n, 2)) if n >= 100
+             else PointCloud(np.arange(3.0 * n).reshape(n, 3)))
     spec = PerturbationSpec(rotation_axis=(1.0, 0.0, 0.0), rotation_angle=0.0,
-                            translation=(0, 0, 0), keep_fraction=0.7, seed=41)
+                            translation=(0, 0, 0), keep_fraction=keep_fraction,
+                            noise_sigma=noise_sigma, seed=41)
     out, _ = perturb(cloud, spec)
     stream = reference_splitmix(41)
-    n = len(cloud)
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
         j = int((next(stream) >> 11) * 2.0 ** -53 * (i + 1))
         perm[i], perm[j] = perm[j], perm[i]
-    kept = sorted(perm[:round(0.7 * n)])
-    assert np.array_equal(out.points, cloud.points[kept])
+    kept = sorted(perm[:round(keep_fraction * n)])
+    want = cloud.points[kept]
+    if noise_sigma > 0:
+        # the noise starts after all n - 1 shuffle uniforms
+        rng = SplitMix64(41)
+        rng.u64_batch(n - 1)
+        want = want + noise_sigma * rng.gaussians(3 * len(kept)).reshape(-1, 3)
+    assert np.array_equal(out.points, want)
 
 
 def test_splitmix_uniform_range_and_determinism():
@@ -201,6 +212,46 @@ def test_voxelize_pitch_halving_doubles_dims():
     h2, w2 = s2.slices[0].bits.shape
     assert w2 in (2 * w1 - 1, 2 * w1)
     assert h2 in (2 * h1 - 1, 2 * h1)
+
+
+def reference_voxelize(cloud, pixel_pitch, slice_spacing, closing_iterations):
+    """The per-slice voxelize_to_stack: each z bin is binned and closed on
+    its own."""
+    pts = cloud.points
+    lo = pts.min(axis=0)
+    ix = np.floor((pts[:, 0] - lo[0]) / pixel_pitch).astype(int)
+    iy = np.floor((pts[:, 1] - lo[1]) / pixel_pitch).astype(int)
+    iz = np.floor((pts[:, 2] - lo[2]) / slice_spacing).astype(int)
+    margin = max(closing_iterations, 0)
+    width = int(ix.max()) + 1 + 2 * margin
+    height = int(iy.max()) + 1 + 2 * margin
+    slices = []
+    for z in range(int(iz.max()) + 1):
+        bits = np.zeros((height, width), dtype=np.uint8)
+        sel = iz == z
+        bits[iy[sel] + margin, ix[sel] + margin] = 1
+        slices.append(binary_close(bits, closing_iterations))
+    return slices
+
+
+@pytest.mark.parametrize("closing_iterations", [0, 1, 2, 3])
+def test_voxelize_matches_per_slice_reference(closing_iterations):
+    rng = np.random.default_rng(closing_iterations)
+    empty_bins = 0
+    for _ in range(20):
+        n = int(rng.integers(1, 400))
+        cloud = PointCloud(rng.standard_normal((n, 3)) * rng.uniform(0.2, 1.0, 3))
+        pitch, spacing = rng.uniform(0.05, 0.3, 2)
+        stack = voxelize_to_stack(cloud, pitch, spacing, "CT", closing_iterations)
+        want = reference_voxelize(cloud, pitch, spacing, closing_iterations)
+        assert [sl.z_index for sl in stack.slices] == list(range(len(want)))
+        assert stack.manifest.slice_files == tuple(f"slice_{z:04d}.pgm"
+                                                   for z in range(len(want)))
+        for sl, bits in zip(stack.slices, want):
+            assert sl.bits.dtype == np.uint8 and sl.bits.flags.c_contiguous
+            assert np.array_equal(sl.bits, bits)
+        empty_bins += sum(not bits.any() for bits in want)
+    assert empty_bins > 0
 
 
 def test_voxelize_empty_cloud():
