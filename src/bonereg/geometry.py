@@ -17,7 +17,7 @@ distance, ball_batch for fixed-radius balls.
 Queries are deterministic: results match a brute-force scan with plain
 numpy arithmetic exactly, ties resolving to the lowest point index. A
 k-NN query takes a window of k + 8 candidates from the k-d tree,
-recomputes their squared distances with numpy, and re-sorts by
+recomputes their squared distances with _sq_dist, and re-sorts by
 (squared distance, index) only the rows where the tree's order differs
 from that one. A row whose k-th distance ties the window's last is
 settled by a ball query over the whole tie group. nearest runs the same
@@ -26,8 +26,8 @@ least as far as the window's last in the tree's arithmetic, so it can
 only tie the nearest when the window's two numpy distances are within
 1e-12 of each other, and those rows take the fallback. It also returns
 the tree's own nearest distance, the value a k=1 tree query gives. A
-ball query keeps the tree's candidates whose numpy squared distance is
-within the squared radius.
+ball query keeps the tree's candidates whose _sq_dist is within the
+squared radius.
 
 nearest also returns a certificate for the same rows at their next
 positions (a cached k-d tree search, Nuechter, Lingemann & Hertzberg
@@ -126,8 +126,7 @@ class SpatialIndex:
         kq = min(k + pad, n)
         dist, idx = self._tree.query(queries, k=kq)
         idx = idx.reshape(m, kq)
-        diffs = np.take(self.points, idx, axis=0) - queries[:, None, :]
-        d2 = np.sum(diffs * diffs, axis=2)
+        d2 = _sq_dist(np.take(self.points, idx, axis=0), queries[:, None, :])
         # the tree ranks by its own distance arithmetic; few rows disagree
         lo, hi = d2[:, :-1], d2[:, 1:]
         bad = np.nonzero(((hi < lo) | ((hi == lo) & (idx[:, 1:] < idx[:, :-1]))).any(axis=1))[0]
@@ -144,9 +143,7 @@ class SpatialIndex:
                 lists = self._tree.query_ball_point(queries[unsure], radii)
                 for row, cand in zip(unsure, lists):
                     cand = np.asarray(cand, dtype=np.int64)
-                    diff = self.points[cand] - queries[row]
-                    dd = np.sum(diff * diff, axis=1)
-                    best = np.lexsort((cand, dd))[:k]
+                    best = np.lexsort((cand, _sq_dist(self.points[cand], queries[row])))[:k]
                     out[row] = cand[best]
         return out, dist.reshape(m, kq)
 
@@ -160,9 +157,8 @@ class SpatialIndex:
         counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
         cand = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(counts.sum()))
         rows = np.repeat(np.arange(m), counts)
-        diff = self.points[cand] - centers[rows]
         r2 = np.broadcast_to(np.square(radius), m)
-        keep = np.sum(diff * diff, axis=1) <= r2[rows]
+        keep = _sq_dist(self.points[cand], centers[rows]) <= r2[rows]
         kept = np.bincount(rows[keep], minlength=m)
         return np.split(cand[keep], np.cumsum(kept)[:-1]) if m else []
 
@@ -317,10 +313,19 @@ def d_s(a, b, weights=(1.0, 1.0, 1.0)):
     return wr * dr + wphi * dphi + wtheta * dtheta
 
 
+def _sq_dist(a, b):
+    """Squared Euclidean distance between 3-D points, broadcasting over
+    leading dimensions: (dx² + dy²) + dz², the order in which the k-d tree
+    adds the squares, so the two agree bit for bit. Every exact distance
+    test in this module goes through it."""
+    sq = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    sq *= sq  # the difference is a new array: one temporary fewer at peak
+    out = sq[..., 0] + sq[..., 1]
+    out += sq[..., 2]
+    return out
+
+
 def d_c(a, b):
     """Euclidean distance between 3-D points, broadcasting over leading
-    dimensions. The squares add in coordinate order, as in the k-d tree
-    and in np.sum over the last axis, so all three agree bit for bit."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    sq = diff * diff
-    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    dimensions: the square root of _sq_dist, so bit-equal to the tree's."""
+    return np.sqrt(_sq_dist(a, b))

@@ -79,7 +79,10 @@ def binary_close(bits: np.ndarray, iterations: int = 2) -> np.ndarray:
 @dataclass(frozen=True)
 class RasterGrid:
     """Pixel grid for reslicing; origin is the low corner of pixel (0, 0)
-    in cloud x-y coordinates."""
+    in cloud x-y coordinates. covering refuses a grid of more than
+    MAX_PIXELS pixels (4096 x 4096; every band mask takes a byte a pixel)."""
+
+    MAX_PIXELS = 1 << 24
 
     width: int
     height: int
@@ -98,8 +101,8 @@ class RasterGrid:
         """Grid over the x-y box from lo to hi plus a margin of
         closing_iterations + 1 pixels on every side, so closing never
         reaches the border. The default pitch is 1/128 of the larger x-y
-        extent; a given pitch must be positive and finite, and
-        closing_iterations non-negative."""
+        extent; a given pitch must be positive and finite,
+        closing_iterations non-negative, and the grid within MAX_PIXELS."""
         if closing_iterations < 0:
             raise ValueError("closing iterations must be non-negative")
         if pixel_pitch is not None and not 0 < pixel_pitch < np.inf:
@@ -108,9 +111,15 @@ class RasterGrid:
             extent = max(hi[0] - lo[0], hi[1] - lo[1])
             pixel_pitch = extent / 128.0 if extent > 0 else 1.0
         margin = closing_iterations + 1
-        width = int(np.floor((hi[0] - lo[0]) / pixel_pitch)) + 1 + 2 * margin
-        height = int(np.floor((hi[1] - lo[1]) / pixel_pitch)) + 1 + 2 * margin
-        return cls(width, height, pixel_pitch,
+        # counted in Python floats, so a span that overflows is inf, not an
+        # error; a margin past the cap fails it at any size, so it is clamped
+        # before it meets a float
+        width, height = (np.floor(float(hi[i] - lo[i]) / pixel_pitch) + 1
+                         + 2 * min(margin, cls.MAX_PIXELS) for i in (0, 1))
+        if width * height > cls.MAX_PIXELS:
+            raise ValueError(f"pixel pitch {pixel_pitch:g} with {closing_iterations} closing "
+                             f"iterations needs more than {cls.MAX_PIXELS} pixels")
+        return cls(int(width), int(height), pixel_pitch,
                    (lo[0] - margin * pixel_pitch, lo[1] - margin * pixel_pitch))
 
 

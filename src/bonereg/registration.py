@@ -1,13 +1,15 @@
 """Rigid registration of point clouds.
 
-Two algorithms share one iteration loop: the feature-refined variant
-(csn_icp) matches each moving point to its Cartesian nearest neighbor,
-re-picks the match inside an r_th-ball by minimum feature distance, and
-drops pairs whose distances exceed median-relative thresholds before the
-SVD solve; the classic baseline (icp_classic) uses plain nearest
-neighbors with no refinement or rejection. partition_register splits the
-moving cloud into contiguous x-sorted bins and registers each bin
-independently, modeling articulated motion; csn_icp is its one-bin case.
+Two algorithms share one iteration loop, _iterate, and differ in its
+step, which returns a rigid move with its accepted and rejected pair
+counts. The feature-refined variant (csn_icp) matches each moving point
+to its Cartesian nearest neighbor, re-picks the match inside an r_th-ball
+by minimum feature distance, and drops pairs whose distances exceed
+median-relative thresholds before the SVD solve; the classic baseline
+(icp_classic) solves on plain nearest neighbors. Both start with the
+source's centroid on the target's. partition_register splits the moving
+cloud into contiguous x-sorted bins and registers each bin from the
+identity, modeling articulated motion; csn_icp is its one-bin case.
 
 Each step has one kernel, working on whole arrays: _correspond_arrays
 matches every moving point (scored with geometry.d_s and d_c) and
@@ -294,56 +296,49 @@ def _reject_mask(dc: np.ndarray, ds: np.ndarray, config: CsnIcpConfig) -> np.nda
     return keep
 
 
-def _iterate(points: np.ndarray, tgt_index: SpatialIndex, config: CsnIcpConfig,
-             make_step, align_centroids: bool) -> RegistrationReport:
-    """Shared ICP loop, from the points shifted onto the target's centroid
-    if align_centroids. make_step(moving_pts, primary, rotation) returns
-    (target_idx, keep_mask) for the current moving points, given each
-    one's nearest target point (primary, from SpatialIndex.nearest) and
-    the rotation part of the running transform from source to moving.
+def _centroid_start(points: np.ndarray, target_points: np.ndarray):
+    """(points + shift, the shift as a transform), the shift taking their
+    centroid onto the target's; added, not applied through a matmul."""
+    shift = target_points.mean(axis=0) - points.mean(axis=0)
+    return points + shift, RigidTransform(np.eye(3), shift)
 
-    Each iteration solves on the kept pairs, composes the step into the
-    running transform and records the full-cloud RMSE. One nearest query
-    per candidate pose gives both that RMSE and the next step's primary
-    matches; it carries the certificate of the last accepted pose, so
-    only points whose nearest target point may have changed search the
-    tree again. The loop stops on |delta RMSE| < tolerance, or reverts
-    the step and stops if the RMSE would increase, so the recorded trace
-    never rises.
+
+def _iterate(moving: np.ndarray, start: RigidTransform, tgt_index: SpatialIndex,
+             config: CsnIcpConfig, step) -> RegistrationReport:
+    """Shared ICP loop from moving, the source placed at the start pose.
+    step(moving_pts, primary, rotation) returns (move, accepted, rejected):
+    a rigid move of the moving points and the pair counts it was solved
+    from, given each point's nearest target point (primary) and the
+    rotation of the running transform from source to moving. An applied
+    move is composed into that transform and recorded with its counts and
+    the RMSE of one SpatialIndex.nearest query, whose matches feed the next
+    step and whose certificate spares the tree search where a point's
+    nearest target point cannot have changed. The loop stops on |delta
+    RMSE| < tolerance, or reverts the move and stops if the RMSE would rise.
     """
-    moving = points
-    total = RigidTransform.identity()
-    if align_centroids:
-        shift = tgt_index.points.mean(axis=0) - moving.mean(axis=0)
-        moving = moving + shift
-        total = RigidTransform(np.eye(3), shift)
+    total = start
     primary, dist, cert = tgt_index.nearest(moving)
     prev = metrics.root_mean_square(dist)
     trace: list[float] = []
     converged = False
     accepted = rejected = 0
     for _ in range(config.max_iterations):
-        tgt_idx, keep = make_step(moving, primary, total.rotation)
-        kept = np.nonzero(keep)[0]
-        step = solve_rigid(np.take(moving, kept, axis=0),
-                           np.take(tgt_index.points, tgt_idx[kept], axis=0))
-        candidate = step.apply(moving)
+        move, step_accepted, step_rejected = step(moving, primary, total.rotation)
+        candidate = move.apply(moving)
         cand_primary, dist, cand_cert = tgt_index.nearest(candidate, cert)
         cur = metrics.root_mean_square(dist)
         if trace and cur > trace[-1]:
             converged = True
             break
         moving, primary, cert = candidate, cand_primary, cand_cert
-        total = step.compose(total)
+        total = move.compose(total)
         trace.append(cur)
-        accepted = int(kept.size)
-        rejected = int(keep.size - kept.size)
+        accepted, rejected = step_accepted, step_rejected
         if abs(prev - cur) < config.rmse_tolerance:
             converged = True
             break
         prev = cur
-    return RegistrationReport(trace, [total], accepted, rejected,
-                              converged, len(trace))
+    return RegistrationReport(trace, [total], accepted, rejected, converged, len(trace))
 
 
 def _csn_bins(source: PointCloud, target: PointCloud,
@@ -369,15 +364,19 @@ def _csn_bins(source: PointCloud, target: PointCloud,
     normals, curv = _feature_arrays(source.points,
                                     SpatialIndex(source).knn_batch(source.points, k))
 
-    def make_step(bin_normals, bin_curv, moving_pts, primary, rotation):
+    def step(bin_normals, bin_curv, moving_pts, primary, rotation):
         sph = np.column_stack([bin_curv, *_angles(bin_normals @ rotation.T)])
         tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, index.points,
                                              tgt_sph, balls, config.feature_weights)
-        return tgt_idx, _reject_mask(dc, ds, config)
+        kept = np.nonzero(_reject_mask(dc, ds, config))[0]
+        return (solve_rigid(np.take(moving_pts, kept, axis=0),
+                            np.take(index.points, tgt_idx[kept], axis=0)),
+                kept.size, len(moving_pts) - kept.size)
 
-    return [_iterate(source.points[b], index, config, partial(make_step, normals[b], curv[b]),
-                     align_centroids=len(bins) == 1)
-            for b in bins]
+    starts = [_centroid_start(source.points, index.points)] if len(bins) == 1 \
+        else [(source.points[b], RigidTransform.identity()) for b in bins]
+    return [_iterate(moving, start, index, config, partial(step, normals[b], curv[b]))
+            for b, (moving, start) in zip(bins, starts)]
 
 
 def csn_icp(source: PointCloud, target: PointCloud,
@@ -412,10 +411,10 @@ def icp_classic(source: PointCloud, target: PointCloud,
         raise ValueError("clouds must be non-empty")
     index = cloud_index(target)
 
-    def make_step(moving_pts, primary, _rotation):
-        return primary, np.ones(len(moving_pts), dtype=bool)
+    def step(moving_pts, primary, _rotation):
+        return solve_rigid(moving_pts, np.take(index.points, primary, axis=0)), len(moving_pts), 0
 
-    return _iterate(source.points, index, config, make_step, align_centroids=True)
+    return _iterate(*_centroid_start(source.points, index.points), index, config, step)
 
 
 def partition_indices(source: PointCloud, partitions: int) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,11 +323,25 @@ def test_reslice_command(tmp_path, capsys):
     ("reslice", ["--z-center", "nan", "--thickness", 0.1], "z center"),
     ("reslice", ["--z-center", 0.0, "--thickness", "inf"], "thickness"),
     ("evaluate", ["--thickness", "inf"], "thickness"),
+    # grids past RasterGrid.MAX_PIXELS: about 10^10 pixels, an x-y span
+    # that overflows to inf, and margins of 10^7 and 10^400 closing
+    # iterations (the second too large for a float)
+    ("evaluate", ["--pixel-pitch", 1e-5], "pixels"),
+    ("reslice", ["--pixel-pitch", 1e-5], "pixels"),
+    ("reslice", ["--pixel-pitch", 1e-320], "pixels"),
+    ("evaluate", ["--closing-iters", 10**7], "pixels"),
+    ("reslice", ["--closing-iters", 10**400], "pixels"),
 ])
 def test_grid_arguments_exit_1(tmp_path, capsys, command, flags, message):
     save_xyz(make_phantom(PhantomSpec("ellipsoid", 300, 6)), tmp_path / "c.xyz")
     inputs = [tmp_path / "c.xyz"] * (2 if command == "evaluate" else 1)
-    code, _, err = run([command, *inputs, "--out", tmp_path / "o", *flags], capsys)
+    tracemalloc.start()
+    try:
+        code, _, err = run([command, *inputs, "--out", tmp_path / "o", *flags], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # refused before any grid-sized array is made
     assert code == 1
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "o").exists()

@@ -285,6 +285,45 @@ def test_one_nearest_query_per_pose(monkeypatch, register):
     assert len(nearest_calls) <= report.iterations_used + 2
 
 
+def test_identity_step_ends_at_the_start_pose():
+    cloud, target = turned_phantom()
+    index = SpatialIndex(target)
+    start = RigidTransform.from_axis_angle((0.2, 1.0, -0.3), 0.1, (0.01, -0.02, 0.03))
+    moving = start.apply(cloud.points)
+    seen = []
+
+    def step(moving_pts, primary, rotation):
+        seen.append((moving_pts, primary, rotation))
+        return RigidTransform.identity(), 7, 3
+
+    report = registration._iterate(moving, start, index, CsnIcpConfig(), step)
+    assert report.converged and report.iterations_used == 1
+    assert report.per_iteration_rmse == [metrics.root_mean_square(index.nearest(moving)[1])]
+    assert (report.accepted_pairs, report.rejected_pairs) == (7, 3)
+    [got] = report.final_transforms
+    assert np.array_equal(got.rotation, start.rotation)
+    assert np.array_equal(got.translation, start.translation)
+    # the step sees the start pose: its points, their nearest target points
+    # and the start rotation
+    [(pts, primary, rotation)] = seen
+    assert np.array_equal(pts, moving) and np.array_equal(rotation, start.rotation)
+    assert np.array_equal(primary, index.nearest(moving)[0])
+
+
+def test_reverted_step_keeps_the_applied_counts():
+    _, target = turned_phantom()
+    index = SpatialIndex(target)
+    start = RigidTransform.from_axis_angle((0.0, 0.0, 1.0), 0.05, (0.02, 0.0, 0.0))
+    moves = [(start.inverse(), 5, 1), (RigidTransform.from_axis_angle((1, 0, 0), 0.3), 9, 9)]
+    report = registration._iterate(start.apply(target.points), start, index, CsnIcpConfig(),
+                                   lambda *_: moves.pop(0))
+    # the second move raises the RMSE, so it is reverted with its counts
+    assert not moves and report.converged and report.iterations_used == 1
+    assert (report.accepted_pairs, report.rejected_pairs) == (5, 1)
+    assert report.per_iteration_rmse[0] < 1e-12
+    assert rotation_angle_between(report.final_transforms[0], RigidTransform.identity()) < 1e-9
+
+
 def count_index_work(monkeypatch) -> dict:
     """Point counts of every tree build, k > 1 query batch, eigen batch
     and ball batch from here on."""
@@ -527,9 +566,9 @@ def test_partition_two_equals_csn_per_bin(monkeypatch):
         ball_calls.append(len(centers))
         return ball_batch(self, centers, radius)
 
-    def captured(points, *args, align_centroids):
-        starts.append((points, align_centroids))
-        per_bin.append(iterate(points, *args, align_centroids=align_centroids))
+    def captured(moving, start, *args):
+        starts.append((moving, start))
+        per_bin.append(iterate(moving, start, *args))
         return per_bin[-1]
 
     monkeypatch.setattr(SpatialIndex, "ball_batch", counted)
@@ -537,10 +576,12 @@ def test_partition_two_equals_csn_per_bin(monkeypatch):
     report = partition_register(source, target, config)
     assert ball_calls == [len(target)]  # one ball table shared by both bins
     bins = partition_indices(source, 2)
-    # one loop per bin, from the bin's own points, with no centroid shift
+    # one loop per bin, from the bin's own points at the identity, with no
+    # centroid shift
     assert len(starts) == 2
-    for (points, align), b in zip(starts, bins):
-        assert np.array_equal(points, source.points[b]) and align is False
+    for (points, start), b in zip(starts, bins):
+        assert np.array_equal(points, source.points[b])
+        assert np.array_equal(start.rotation, np.eye(3)) and not start.translation.any()
     for got, rep in zip(report.final_transforms, per_bin):
         assert np.array_equal(got.rotation, rep.final_transforms[0].rotation)
         assert np.array_equal(got.translation, rep.final_transforms[0].translation)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from bonereg import (PerturbationSpec, PhantomSpec, PointCloud, SplitMix64, binary_close,
                      build_point_cloud, make_phantom, perturb, voxelize_to_stack)
@@ -259,15 +260,10 @@ def test_voxelize_empty_cloud():
         voxelize_to_stack(PointCloud(np.zeros((0, 3))), 1.0, 1.0)
 
 
-def hausdorff_brute(a, b, chunk=512):
-    # symmetric Hausdorff by chunked brute-force nearest neighbor
+def hausdorff(a, b):
+    # symmetric Hausdorff: each one-way maximum of nearest-neighbor distances
     def one_way(src, dst):
-        worst = 0.0
-        for i in range(0, len(src), chunk):
-            block = src[i:i + chunk]
-            d2 = ((block[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
-            worst = max(worst, float(np.sqrt(d2.min(axis=1).max())))
-        return worst
+        return float(cKDTree(dst).query(src)[0].max())
     return max(one_way(a, b), one_way(b, a))
 
 
@@ -283,4 +279,4 @@ def test_voxelize_round_trip_hausdorff():
     restored = rebuilt.points * scale
     restored -= restored.mean(axis=0)
     original = phantom.points - phantom.points.mean(axis=0)
-    assert hausdorff_brute(restored, original) <= 2 * pitch
+    assert hausdorff(restored, original) <= 2 * pitch
