@@ -193,59 +193,15 @@ def cloud_tables(cloud: PointCloud, build, *args):
 
 
 def jacobi_eigh3(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of symmetric 3x3 matrices by cyclic Jacobi
-    rotations, batched over leading dimensions.
-
-    Returns (eigenvalues, eigenvectors): eigenvalues sorted descending,
-    eigenvectors in the matching columns. Sweeps stop once every
-    off-diagonal magnitude falls below 1e-12 of the matrix trace (hard
-    cap of 60 sweeps).
-    """
-    a = np.array(mats, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
+    """Eigendecomposition of symmetric 3x3 matrices, one or batched over
+    leading dimensions, by LAPACK (np.linalg.eigh): (eigenvalues sorted
+    descending, eigenvectors in the matching columns). The name predates
+    LAPACK and stays because bench/tracing.py patches the function by it."""
+    a = np.asarray(mats, dtype=float)
     if a.shape[-2:] != (3, 3):
         raise ValueError("expected 3x3 matrices")
-    flat = a.reshape(-1, 3, 3).copy()
-    n = flat.shape[0]
-    v = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    trace = flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2]
-    thresh = 1e-12 * np.abs(trace)
-    eye = np.eye(3)
-    for _ in range(60):
-        off = np.maximum(np.abs(flat[:, 0, 1]),
-                         np.maximum(np.abs(flat[:, 0, 2]), np.abs(flat[:, 1, 2])))
-        if np.all(off <= thresh):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = flat[:, p, q]
-            rot = np.abs(apq) > thresh
-            if not rot.any():
-                continue
-            denom = np.where(rot, 2.0 * apq, 1.0)
-            theta = (flat[:, q, q] - flat[:, p, p]) / denom
-            sign = np.where(theta >= 0.0, 1.0, -1.0)
-            t = np.where(rot, sign / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            g = np.broadcast_to(eye, (n, 3, 3)).copy()
-            g[:, p, p] = c
-            g[:, q, q] = c
-            g[:, p, q] = s
-            g[:, q, p] = -s
-            flat = np.swapaxes(g, 1, 2) @ flat @ g
-            v = v @ g
-    vals = np.stack([flat[:, 0, 0], flat[:, 1, 1], flat[:, 2, 2]], axis=1)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=2)
-    shape = a.shape[:-2]
-    vals = vals.reshape(shape + (3,))
-    vecs = vecs.reshape(shape + (3, 3))
-    if single:
-        return vals[0], vecs[0]
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(a)
+    return vals[..., ::-1], vecs[..., ::-1]
 
 
 def _canonical_sign(normals: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -64,23 +64,24 @@ def rmse(moving: PointCloud, target: PointCloud) -> float:
 
 
 def binary_close(bits: np.ndarray, iterations: int = 2) -> np.ndarray:
-    """Morphological closing of each 2-D slice of bits, shape (..., h, w),
-    with a 3x3 square element: dilate then erode, out-of-bounds treated as
-    background. A stack is closed in one call; its element is 1 wide
-    along every leading axis, so no slice reaches another."""
+    """Morphological closing of each 2-D slice of bits, shape (..., h, w):
+    dilate, then erode, iterations times each by a 3x3 square with
+    out-of-bounds as background. n steps by the 3x3 square are one by the
+    (2n+1) square, so each is one max or min filter, 1 wide along leading
+    axes so no slice reaches another; past n = max(h, w) nothing changes."""
     if iterations <= 0:
         return bits.astype(np.uint8)
-    st = np.ones((1,) * (bits.ndim - 2) + (3, 3), dtype=bool)
-    b = ndimage.binary_dilation(bits.astype(bool), st, iterations=iterations)
-    b = ndimage.binary_erosion(b, st, iterations=iterations, border_value=0)
-    return b.astype(np.uint8)
+    side = 2 * min(iterations, max(bits.shape[-2:])) + 1
+    size = (1,) * (bits.ndim - 2) + (side, side)
+    b = ndimage.maximum_filter(bits.astype(bool).view(np.uint8), size, mode="constant", cval=0)
+    return ndimage.minimum_filter(b, size, mode="constant", cval=0)
 
 
 @dataclass(frozen=True)
 class RasterGrid:
     """Pixel grid for reslicing; origin is the low corner of pixel (0, 0)
-    in cloud x-y coordinates. covering refuses a grid of more than
-    MAX_PIXELS pixels (4096 x 4096; every band mask takes a byte a pixel)."""
+    in cloud x-y coordinates. No grid has more than MAX_PIXELS pixels
+    (4096 x 4096; every band mask takes a byte a pixel)."""
 
     MAX_PIXELS = 1 << 24
 
@@ -94,6 +95,8 @@ class RasterGrid:
             raise ValueError("grid dimensions must be positive")
         if not self.pixel_pitch > 0:
             raise ValueError("pixel pitch must be positive")
+        if int(self.width) * int(self.height) > self.MAX_PIXELS:
+            raise ValueError(f"{self.width} x {self.height} grid: over {self.MAX_PIXELS} pixels")
 
     @classmethod
     def covering(cls, lo, hi, pixel_pitch: float | None = None,

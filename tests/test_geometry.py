@@ -148,31 +148,46 @@ def test_radius_matches_brute_force_random():
         assert index.ball_batch(c[None], r)[0].tolist() == brute_radius(pts, c, r).tolist()
 
 
-def test_jacobi_against_numpy():
-    rng = np.random.default_rng(11)
-    b = rng.normal(size=(300, 3, 3))
-    mats = b @ b.transpose(0, 2, 1)
-    vals, vecs = jacobi_eigh3(mats)
-    assert np.all(np.diff(vals, axis=1) <= 1e-12)
-    ref = np.linalg.eigvalsh(mats)[:, ::-1]
-    scale = np.abs(ref).max(axis=1, keepdims=True)
-    assert np.abs(vals - ref).max() < 1e-10 * scale.max()
-    # eigenvector residual, relative to the matrix norm
-    res = np.einsum("nij,njk->nik", mats, vecs) - vals[:, None, :] * vecs
-    norms = np.linalg.norm(mats, axis=(1, 2))
-    assert (np.abs(res).max(axis=(1, 2)) <= 1e-8 * norms).all()
-    # orthonormal eigenvectors
+def assert_eigh_contract(mats, vals, vecs):
+    """Descending eigenvalues, each pair (lambda, v) with
+    |A v - lambda v| <= 1e-12 |A|, and orthonormal eigenvector columns."""
+    assert vals.shape == mats.shape[:-1] and vecs.shape == mats.shape
+    assert np.all(np.diff(vals, axis=-1) <= 0.0)
+    res = np.linalg.norm(mats @ vecs - vals[..., None, :] * vecs, axis=-2)
+    norms = np.linalg.norm(mats, axis=(-2, -1))
+    assert (res <= 1e-12 * norms[..., None]).all()
     eye = np.broadcast_to(np.eye(3), vecs.shape)
-    assert np.abs(vecs.transpose(0, 2, 1) @ vecs - eye).max() < 1e-12
+    assert np.abs(np.swapaxes(vecs, -1, -2) @ vecs - eye).max() < 1e-12
+
+
+def test_jacobi_eigen_contract():
+    rng = np.random.default_rng(11)
+    for shape in ((300,), (2, 3)):
+        b = rng.normal(size=shape + (3, 3))
+        mats = b @ np.swapaxes(b, -1, -2)
+        vals, vecs = jacobi_eigh3(mats)
+        assert_eigh_contract(mats, vals, vecs)
+        # eigenvalues sum to the trace
+        assert np.allclose(vals.sum(axis=-1), np.trace(mats, axis1=-2, axis2=-1), rtol=1e-12)
 
 
 def test_jacobi_single_matrix_and_zero():
     vals, vecs = jacobi_eigh3(np.zeros((3, 3)))
     assert vals.tolist() == [0, 0, 0]
+    assert np.array_equal(vecs.T @ vecs, np.eye(3))
     m = np.diag([3.0, 2.0, 1.0])
     vals, vecs = jacobi_eigh3(m)
     assert vals.tolist() == [3, 2, 1]
     assert np.allclose(np.abs(vecs), np.eye(3))
+    b = np.random.default_rng(3).normal(size=(3, 3))
+    single = b @ b.T
+    assert_eigh_contract(single, *jacobi_eigh3(single))
+
+
+@pytest.mark.parametrize("shape", [(9,), (), (3, 4), (2, 2, 2), (5, 3)])
+def test_jacobi_rejects_non_3x3(shape):
+    with pytest.raises(ValueError, match="3x3"):
+        jacobi_eigh3(np.zeros(shape))
 
 
 def test_features_planar_cloud():

@@ -10,6 +10,8 @@ this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
+which names every key whose digest changed, or says none did.
+
 Another numpy or scipy may round differently, so on other versions the
 test fails and names both sets of versions.
 """
@@ -135,6 +137,17 @@ def test_registration_reports_match_golden():
     assert registration_digests() == pinned_golden()["registration"]
 
 
+def flat(doc: dict, prefix: str = "") -> dict[str, str]:
+    """Leaves of nested dicts by their slash-joined key path."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(flat(value, f"{prefix}{key}/"))
+        else:
+            out[prefix + key] = value
+    return out
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -142,8 +155,14 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         stacks, outputs = stack_run_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps({**versions(), "stack_cli": outputs,
-                                  "registration": registration_digests(),
-                                  "synth": {"stacks": stacks, "moves": move_digests()}},
-                                 indent=2) + "\n")
+    old = flat(json.loads(GOLDEN.read_text())) if GOLDEN.exists() else {}
+    doc = {**versions(), "stack_cli": outputs, "registration": registration_digests(),
+           "synth": {"stacks": stacks, "moves": move_digests()}}
+    GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")
+    new = flat(doc)
+    changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     print(f"wrote {GOLDEN}")
+    for key in changed:
+        print(f"changed {key}: {old.get(key)} -> {new.get(key)}")
+    if not changed:
+        print("no digest changed")

@@ -1,6 +1,7 @@
 """Property tests: the spatial and correspondence kernels against
 brute-force loops that use the same numpy distance arithmetic, so results
-must agree exactly, ties included."""
+must agree exactly, ties included; and the feature pass under rigid
+motion."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from bonereg import RigidTransform, SpatialIndex, d_s
+from bonereg import PhantomSpec, RigidTransform, SpatialIndex, d_s, make_phantom
+from bonereg.geometry import _feature_arrays
 from bonereg.registration import _ball_table, _correspond_arrays
 
 coords = st.floats(-4.0, 4.0, allow_nan=False, width=64)
@@ -229,3 +231,33 @@ def test_correspond_arrays_matches_loop(case):
         assert chosen[i] == ball[best]
         assert ds[i] == cand_ds[best]
         assert dc[i] == np.sqrt(sq_dists(tgt[ball[best]][None], q)[0])
+
+
+PHANTOM = make_phantom(PhantomSpec("two_lobe_pelvis", 400, 9)).points
+PHANTOM_NBR = SpatialIndex(PHANTOM).knn_batch(PHANTOM, 20)
+
+
+@given(st.builds(RigidTransform.from_axis_angle,
+                 st.tuples(coords, coords, coords).filter(lambda a: np.linalg.norm(a) > 1e-3),
+                 st.floats(-np.pi, np.pi), st.tuples(coords, coords, coords)))
+def test_features_follow_rigid_motion(move):
+    """The invariant behind estimating source features once per run: on
+    the same neighborhoods, a moved cloud has the same curvature and its
+    normals turned by the rotation. A normal may flip only where its
+    dot product with the offset from the cloud centroid is within 1e-9
+    of zero. Each normal is the least-variance direction of its
+    neighborhood, with curvature the smallest eigenvalue's share."""
+    normals, curvature = _feature_arrays(PHANTOM, PHANTOM_NBR)
+    moved_normals, moved_curvature = _feature_arrays(move.apply(PHANTOM), PHANTOM_NBR)
+    assert np.abs(moved_curvature - curvature).max() <= 1e-9
+    turned = normals @ move.rotation.T
+    same = np.linalg.norm(moved_normals - turned, axis=1) <= 1e-9
+    flipped = np.linalg.norm(moved_normals + turned, axis=1) <= 1e-9
+    side = np.einsum("ni,ni->n", normals, PHANTOM - PHANTOM.mean(axis=0))
+    assert (same | (flipped & (np.abs(side) < 1e-9))).all()
+    nb = PHANTOM[PHANTOM_NBR]
+    centered = nb - nb.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered)
+    least = curvature * np.trace(cov, axis1=1, axis2=2)
+    res = np.linalg.norm(np.einsum("nij,nj->ni", cov, normals) - least[:, None] * normals, axis=1)
+    assert (res <= 1e-9 * np.linalg.norm(cov, axis=(1, 2))).all()

@@ -3,7 +3,7 @@ import pytest
 
 from bonereg import (ConfusionCounts, PointCloud, RasterGrid, RigidTransform,
                      SliceMask, binary_close, confusion,
-                     d_mr_d_ct, dice, evaluate_slices, iou, reslice, rmse)
+                     d_mr_d_ct, dice, evaluate_slices, iou, metrics, reslice, rmse)
 
 
 def mask(bits):
@@ -167,6 +167,35 @@ def test_closing_matches_brute_force():
         for iterations in (1, 2):
             assert np.array_equal(binary_close(bits, iterations),
                                   brute_close(bits, iterations))
+    # 1-pixel sides, dense content touching the border, bool input
+    for h, w in ((1, 1), (1, 7), (6, 1), (2, 9), (11, 4)):
+        for density in (0.3, 0.8, 1.0):
+            bits = rng.random((h, w)) < density
+            for iterations in range(6):
+                for given in (bits, bits.astype(np.uint8)):
+                    got = binary_close(given, iterations)
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, brute_close(bits, iterations))
+
+
+def test_closing_width_is_clamped(monkeypatch):
+    # a huge iteration count filters no wider than the image allows, with
+    # the result of n = max(h, w)
+    bits = np.zeros((5, 7), dtype=np.uint8)
+    bits[1:4, 2:6] = 1
+    bits[2, 3] = 0
+    sizes = []
+    maximum_filter = metrics.ndimage.maximum_filter
+
+    def recorded(image, size, **kwargs):
+        sizes.append(size)
+        return maximum_filter(image, size, **kwargs)
+
+    monkeypatch.setattr(metrics.ndimage, "maximum_filter", recorded)
+    got = binary_close(bits, 10**6)
+    assert sizes == [(15, 15)]
+    assert np.array_equal(got, binary_close(bits, 7))
+    assert np.array_equal(got, brute_close(bits, 7))
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 2, 3])
@@ -205,6 +234,17 @@ def test_reslice_band_selection():
     assert m.bits.sum() == 3
     empty = reslice(PointCloud(pts), 10.0, 1.0, grid, closing_iterations=0)
     assert empty.bits.sum() == 0
+
+
+@pytest.mark.parametrize("width, height", [(10**5, 10**5), (4097, 4096), (1, (1 << 24) + 1)])
+def test_grid_past_the_pixel_cap_is_refused(width, height):
+    with pytest.raises(ValueError, match="pixels"):
+        RasterGrid(width, height, 1.0)
+
+
+def test_grid_at_the_pixel_cap_constructs():
+    grid = RasterGrid(4096, 4096, 1.0)
+    assert grid.width * grid.height == RasterGrid.MAX_PIXELS
 
 
 def test_reslice_drops_points_outside_grid():
