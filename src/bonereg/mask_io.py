@@ -1,7 +1,8 @@
 """Binary mask stack IO: a JSON manifest plus 8-bit binary PGM slice files.
 
-Any nonzero pixel counts as bone. Slices are listed in the manifest in
-ascending z order and are never reordered on load.
+Any nonzero pixel counts as bone. A stack holds its masks as one
+(slice, row, col) array whose first axis follows the manifest's file list,
+which is in ascending z order and never reordered on load.
 """
 
 from __future__ import annotations
@@ -34,57 +35,52 @@ class StackManifest:
             raise ValueError("manifest lists duplicate slice files")
 
 
+def _binary(bits, ndim: int, what: str) -> np.ndarray:
+    """A C-ordered uint8 copy of bits, which must have ndim axes and hold
+    only 0/1 values (bool included)."""
+    bits = np.asarray(bits)
+    if bits.ndim != ndim:
+        raise ValueError(f"{what} bits must be {ndim}D")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"{what} bits must contain only 0/1 values")
+    return bits.astype(np.uint8, order="C")
+
+
 @dataclass(frozen=True, eq=False)
 class SliceMask:
     """One binary slice: bits[row, col] with 1 = bone."""
 
     bits: np.ndarray
-    z_index: int
 
     def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if bits.ndim != 2:
-            raise ValueError("mask bits must be 2D")
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ValueError("mask bits must contain only 0/1 values")
-        object.__setattr__(self, "bits", bits.astype(np.uint8))
-        if self.z_index < 0:
-            raise ValueError("z_index must be non-negative")
+        object.__setattr__(self, "bits", _binary(self.bits, 2, "mask"))
 
     def __eq__(self, other):
         if not isinstance(other, SliceMask):
             return NotImplemented
-        return self.z_index == other.z_index and np.array_equal(self.bits, other.bits)
+        return np.array_equal(self.bits, other.bits)
 
 
 @dataclass(frozen=True, eq=False)
 class SliceStack:
+    """A binary mask stack: bits[z, row, col] with 1 = bone, where bits[z]
+    is the mask of the z-th file the manifest lists."""
+
     manifest: StackManifest
-    slices: tuple[SliceMask, ...]
+    bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(self.slices))
-        if len(self.slices) != len(self.manifest.slice_files):
+        object.__setattr__(self, "bits", _binary(self.bits, 3, "stack"))
+        if len(self.bits) != len(self.manifest.slice_files):
             raise ValueError("slice count does not match manifest")
-        shape = self.slices[0].bits.shape
-        for sl in self.slices:
-            if sl.bits.shape != shape:
-                raise ValueError("all slices must share the same dimensions")
-        zs = [sl.z_index for sl in self.slices]
-        if any(b <= a for a, b in zip(zs, zs[1:])):
-            raise ValueError("slices must be ordered by strictly increasing z_index")
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return len(self.bits)
 
     def __eq__(self, other):
         if not isinstance(other, SliceStack):
             return NotImplemented
-        return self.manifest == other.manifest and self.slices == other.slices
-
-    def as_array(self) -> np.ndarray:
-        """(nz, height, width) uint8 view of all slice bits."""
-        return np.stack([sl.bits for sl in self.slices])
+        return self.manifest == other.manifest and np.array_equal(self.bits, other.bits)
 
 
 def _read_pgm(path: Path) -> np.ndarray:
@@ -164,21 +160,19 @@ def load_stack(manifest_path) -> SliceStack:
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
     base = manifest_path.parent
-    slices = []
-    shape = None
-    for z, name in enumerate(manifest.slice_files):
+    grays = []
+    for name in manifest.slice_files:
         p = base / name
         if not p.is_file():
             raise FileNotFoundError(f"slice file not found: {p}")
         gray = _read_pgm(p)
-        if shape is None:
-            shape = gray.shape
-        elif gray.shape != shape:
+        if grays and gray.shape != grays[0].shape:
+            shape = grays[0].shape
             raise ValueError(
                 f"{p}: slice is {gray.shape[1]}x{gray.shape[0]}, "
                 f"expected {shape[1]}x{shape[0]}")
-        slices.append(SliceMask(bits=(gray > 0).astype(np.uint8), z_index=z))
-    return SliceStack(manifest, tuple(slices))
+        grays.append(gray)
+    return SliceStack(manifest, np.stack(grays) > 0)
 
 
 def write_stack(stack: SliceStack, out_dir) -> Path:
@@ -188,8 +182,8 @@ def write_stack(stack: SliceStack, out_dir) -> Path:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, sl in zip(stack.manifest.slice_files, stack.slices):
-        _write_pgm(out_dir / name, sl.bits * 255)
+    for name, bits in zip(stack.manifest.slice_files, stack.bits):
+        _write_pgm(out_dir / name, bits * 255)
     doc = {
         "modality": stack.manifest.modality,
         "pixel_spacing_mm": stack.manifest.pixel_spacing_mm,

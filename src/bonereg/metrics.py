@@ -146,7 +146,7 @@ def reslice(cloud: PointCloud, z_center: float, thickness: float,
     ok = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
     bits = np.zeros((grid.height, grid.width), dtype=np.uint8)
     bits[iy[ok], ix[ok]] = 1
-    return SliceMask(binary_close(bits, closing_iterations), z_index=0)
+    return SliceMask(binary_close(bits, closing_iterations))
 
 
 def _outside(inter: int, area: int) -> float:
@@ -182,20 +182,18 @@ class OverlapReport:
     d_mr: float
     d_ct: float
     rmse: float
-    per_slice: list[dict] | None = None
+    per_slice: list[dict]
 
 
 def overlap_report_to_dict(report: OverlapReport) -> dict:
-    doc = {
+    return {
         "iou": float(report.iou),
         "dice": float(report.dice),
         "d_mr": float(report.d_mr),
         "d_ct": float(report.d_ct),
         "rmse": float(report.rmse),
+        "slices": report.per_slice,
     }
-    if report.per_slice is not None:
-        doc["slices"] = report.per_slice
-    return doc
 
 
 def evaluate_slices(moving: PointCloud, target: PointCloud,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .mask_io import SliceMask, SliceStack, StackManifest, _field
+from .mask_io import SliceStack, StackManifest, _field
 from .metrics import binary_close
 from .registration import RigidTransform
 
@@ -233,10 +233,9 @@ def perturb(cloud: PointCloud, spec: PerturbationSpec) -> tuple[PointCloud, Rigi
 
 def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: float,
                       modality: str = "MR", closing_iterations: int = 2) -> SliceStack:
-    """Bin points to a voxel grid anchored at the cloud's low corner; each
-    z bin becomes one slice mask, closed per slice to form solid regions.
-    All slices are binned into one volume and closed by one binary_close
-    call.
+    """Bin points to a voxel grid anchored at the cloud's low corner; the
+    (z bin, row, col) volume is the stack's bits, each slice closed on its
+    own by one binary_close call to form solid regions.
 
     The in-plane border is padded by closing_iterations pixels so the
     closing never clips at the image edge."""
@@ -262,7 +261,7 @@ def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: floa
         slice_spacing_mm=float(slice_spacing),
         slice_files=tuple(f"slice_{z:04d}.pgm" for z in range(nz)),
     )
-    return SliceStack(manifest, tuple(SliceMask(bits, z_index=z) for z, bits in enumerate(volume)))
+    return SliceStack(manifest, volume)
 
 
 def _floats(value) -> tuple[float, ...]:

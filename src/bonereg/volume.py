@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .mask_io import SliceStack
+from .mask_io import SliceStack, _binary
 
 SURFACE_MODES = ("surface", "full")
 
@@ -29,12 +29,7 @@ class MaskVolume:
     voxel_pitch: tuple[float, float, float]
 
     def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if bits.ndim != 3:
-            raise ValueError("volume bits must be 3D")
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ValueError("volume bits must contain only 0/1 values")
-        object.__setattr__(self, "bits", bits.astype(np.uint8))
+        object.__setattr__(self, "bits", _binary(self.bits, 3, "volume"))
         pitch = tuple(float(p) for p in self.voxel_pitch)
         if len(pitch) != 3 or any(p <= 0 for p in pitch):
             raise ValueError("voxel pitches must be three positive values")
@@ -43,11 +38,11 @@ class MaskVolume:
 
 def max_bone_extent_y(stack: SliceStack) -> float:
     """Largest per-slice bone extent along the image row axis, scaled to
-    physical units: max over slices of (last bone row - first bone row + 1)
-    times the pixel spacing."""
+    physical units: max over z of (last bone row - first bone row + 1) in
+    stack.bits[z], times the pixel spacing."""
     best = 0
-    for sl in stack.slices:
-        rows = np.nonzero(sl.bits.any(axis=1))[0]
+    for bone_rows in stack.bits.any(axis=2):
+        rows = np.nonzero(bone_rows)[0]
         if rows.size:
             best = max(best, int(rows[-1] - rows[0] + 1))
     if best == 0:
@@ -86,7 +81,7 @@ def interpolate_z(stack: SliceStack) -> MaskVolume:
     # round up so the grid covers the whole span; samples past the last
     # slice clamp onto it, so no slice-exclusive content is lost
     m = int(np.ceil(span / p * (1.0 - 1e-12))) + 1
-    field = stack.as_array().astype(np.float64)
+    field = stack.bits.astype(np.float64)
     out = np.empty((m,) + field.shape[1:], dtype=np.uint8)
     last = n - 1
     for j in range(m):

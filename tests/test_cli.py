@@ -161,6 +161,20 @@ def test_register_partitions_flag(tmp_path, capsys):
     assert "csn-icp" in err
 
 
+def test_register_one_partition_writes_the_csn_icp_report(tmp_path, capsys):
+    phantom = make_phantom(PhantomSpec("two_lobe_pelvis", 1500, 4))
+    moved = RigidTransform.from_axis_angle((0.0, 0.0, 1.0), 0.1, (0.02, 0.0, 0.0)).apply(
+        phantom.points)
+    save_xyz(phantom, tmp_path / "t.xyz")
+    save_xyz(PointCloud(moved), tmp_path / "s.xyz")
+    code, _, err = run(["register", tmp_path / "s.xyz", tmp_path / "t.xyz",
+                        "--out", tmp_path / "r"], capsys)
+    assert code == 0, err
+    want = bonereg.csn_icp(load_xyz(tmp_path / "s.xyz"), load_xyz(tmp_path / "t.xyz"))
+    assert json.loads((tmp_path / "r" / "report.json").read_text()) == \
+        json.loads(json.dumps(bonereg.report_to_dict(want)))
+
+
 def test_build_cloud_and_evaluate(tmp_path, capsys):
     phantom = make_phantom(PhantomSpec("ellipsoid", 8000, 5,
                                        semi_axes=(0.8, 1.0, 0.7)))
@@ -300,11 +314,11 @@ def test_reslice_command(tmp_path, capsys):
     from bonereg import load_stack
     stack = load_stack(tmp_path / "slices" / "manifest.json")
     assert len(stack) == 5
-    assert stack.as_array().sum() > 0
+    assert stack.bits.sum() > 0
     # the masks are the bands evaluate_slices scores on the saved cloud
     saved = load_xyz(tmp_path / "c.xyz")
     per_slice = evaluate_slices(saved, saved, 5).per_slice
-    assert [int(sl.bits.sum()) for sl in stack.slices] == [r["a_mr"] for r in per_slice]
+    assert [int(bits.sum()) for bits in stack.bits] == [r["a_mr"] for r in per_slice]
     code, _, err = run(["reslice", tmp_path / "c.xyz", "--out", tmp_path / "one",
                         "--z-center", 0.0, "--thickness", 0.2], capsys)
     assert code == 0, err

@@ -7,7 +7,7 @@ from bonereg import (ConfusionCounts, PointCloud, RasterGrid, RigidTransform,
 
 
 def mask(bits):
-    return SliceMask(bits=np.asarray(bits, dtype=np.uint8), z_index=0)
+    return SliceMask(bits=np.asarray(bits, dtype=np.uint8))
 
 
 def brute_confusion(pred, truth):
