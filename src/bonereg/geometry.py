@@ -44,6 +44,14 @@ A PointCloud's points are read-only, so what is derived from them stays
 valid while the cloud lives: cloud_index gives each live cloud one
 SpatialIndex, and cloud_tables keeps one more set of tables beside it.
 Both are kept in a weak-keyed memo and go with the cloud.
+
+Working memory: a kernel's temporaries grow with the rows it is given
+(a k-NN query holds its (m, k + 8) window and the (m, k + 8, 3) gather,
+a ball query its candidates, _feature_arrays the (m, k, 3)
+neighborhoods), and registration hands them one block of rows at a
+time, so none spans more than one block. What a run keeps spans the
+whole cloud: the tree, the per-point features, and the r_th-ball table,
+which grows with n times the mean ball size.
 """
 
 from __future__ import annotations
@@ -204,11 +212,11 @@ def jacobi_eigh3(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[..., ::-1], vecs[..., ::-1]
 
 
-def _canonical_sign(normals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Flip normals so they point away from the whole-cloud centroid;
-    exact ties fall back to nz >= 0, then ny >= 0, then nx >= 0."""
-    center = pts.mean(axis=0)
-    d = np.einsum("ni,ni->n", normals, pts - center)
+def _canonical_sign(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Flip normals so they point away from the whole-cloud centroid, given
+    each point's offset from it; exact ties fall back to nz >= 0, then
+    ny >= 0, then nx >= 0."""
+    d = np.einsum("ni,ni->n", normals, offsets)
     nx, ny, nz = normals[:, 0], normals[:, 1], normals[:, 2]
     tie = d == 0.0
     flip = (d < 0.0) | (tie & ((nz < 0.0)
@@ -217,9 +225,11 @@ def _canonical_sign(normals: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -normals, normals)
 
 
-def _feature_arrays(pts: np.ndarray, nbr: np.ndarray):
-    """(normals, curvature) arrays for every point of pts, given each
-    point's (n, k) neighbor indices nbr (knn_batch order).
+def _feature_arrays(pts: np.ndarray, nbr: np.ndarray, offsets: np.ndarray):
+    """(normals, curvature) arrays for m points of the cloud pts, given
+    their (m, k) neighbor indices nbr into pts (knn_batch order) and their
+    (m, 3) offsets from the whole cloud's centroid, which set each
+    normal's sign (_canonical_sign).
 
     The k-neighborhood of a point includes the point itself. The normal is
     the eigenvector of the smallest covariance eigenvalue, curvature its
@@ -232,7 +242,7 @@ def _feature_arrays(pts: np.ndarray, nbr: np.ndarray):
     vals, vecs = jacobi_eigh3(cov)
     normals = vecs[:, :, 2]
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = _canonical_sign(normals, pts)
+    normals = _canonical_sign(normals, offsets)
     trace = vals.sum(axis=1)
     safe = np.where(trace > 0.0, trace, 1.0)
     # clip absorbs the tiny negatives a numerically zero lambda_min can take

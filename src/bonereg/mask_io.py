@@ -36,14 +36,17 @@ class StackManifest:
 
 
 def _binary(bits, ndim: int, what: str) -> np.ndarray:
-    """A C-ordered uint8 copy of bits, which must have ndim axes and hold
-    only 0/1 values (bool included)."""
+    """A read-only, C-ordered uint8 copy of bits, which must have ndim
+    axes and hold only 0/1 values (bool included); read-only, so the
+    check holds for as long as the copy lives."""
     bits = np.asarray(bits)
     if bits.ndim != ndim:
         raise ValueError(f"{what} bits must be {ndim}D")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError(f"{what} bits must contain only 0/1 values")
-    return bits.astype(np.uint8, order="C")
+    out = bits.astype(np.uint8, order="C")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,11 +11,20 @@ source's centroid on the target's. partition_register splits the moving
 cloud into contiguous x-sorted bins and registers each bin from the
 identity, modeling articulated motion; csn_icp is its one-bin case.
 
-Each step has one kernel, working on whole arrays: _correspond_arrays
-matches every moving point (scored with geometry.d_s and d_c) and
-_reject_mask applies the median-relative thresholds. What depends on the
-target alone (its k-d tree, features and r_th-ball table) is built once
-per target cloud and kept while the cloud lives.
+Each step has one kernel: _correspond_arrays matches every moving point
+(scored with geometry.d_s and d_c) and _reject_mask applies the
+median-relative thresholds over all pairs. What depends on the target
+alone (its k-d tree, features and r_th-ball table) is built once per
+target cloud and kept while the cloud lives.
+
+Working memory is bounded by blocks of rows: the feature pass (_features)
+and the ball table (_ball_table) query _BLOCK_ROWS points at a time, and
+matching takes the moving rows in blocks of about _BLOCK_PAIRS ball
+entries, each block writing its slice of the outputs. None of the three
+holds a temporary wider than one block, and every row's result is the
+same whatever the block size. What spans the cloud is O(n) per-point
+arrays (outputs, features, the nearest query's windows) and the kept
+ball table, whose size is n times the mean ball size.
 """
 
 from __future__ import annotations
@@ -32,6 +41,12 @@ from .cloud import PointCloud
 from .geometry import (SpatialIndex, _angles, _feature_arrays, cloud_index, cloud_tables,
                        d_c, d_s)
 from . import metrics
+
+
+# the working-memory budget: query rows per block of the feature pass and
+# the ball table, and ball entries per block of matching
+_BLOCK_ROWS = 256
+_BLOCK_PAIRS = 1 << 14
 
 
 class RegistrationError(Exception):
@@ -237,19 +252,40 @@ def solve_rigid(source_pts, target_pts) -> RigidTransform:
     return RigidTransform(r, cb - r @ ca)
 
 
+def _features(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, curvature) of every indexed point from its k-neighborhood
+    (geometry._feature_arrays), _BLOCK_ROWS points at a time; the normals'
+    signs are set by the centroid of the whole cloud."""
+    pts = index.points
+    center = pts.mean(axis=0)
+    normals, curv = np.empty_like(pts), np.empty(len(pts))
+    for lo in range(0, len(pts), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        rows = pts[block]
+        normals[block], curv[block] = _feature_arrays(pts, index.knn_batch(rows, k),
+                                                      rows - center)
+    return normals, curv
+
+
 def _ball_table(index: SpatialIndex, r_th: float) -> tuple[np.ndarray, np.ndarray]:
     """r_th-ball around every indexed point as CSR (indptr, indices): the
-    ball of point j is indices[indptr[j]:indptr[j + 1]], ascending."""
-    balls = index.ball_batch(index.points, r_th)
-    indptr = np.zeros(len(balls) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, balls), dtype=np.int64, count=len(balls)), out=indptr[1:])
-    return indptr, np.concatenate(balls)
+    ball of point j is indices[indptr[j]:indptr[j + 1]], ascending. The
+    balls are queried _BLOCK_ROWS centres at a time."""
+    pts = index.points
+    counts, blocks = [], []
+    for lo in range(0, len(pts), _BLOCK_ROWS):
+        balls = index.ball_batch(pts[lo:lo + _BLOCK_ROWS], r_th)
+        counts.append(np.fromiter(map(len, balls), dtype=np.int64, count=len(balls)))
+        blocks.append(np.concatenate(balls))
+    indptr = np.zeros(len(pts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return indptr, np.concatenate(blocks)
 
 
 def _target_tables(index: SpatialIndex, k: int, r_th: float):
     """(tgt_sph, balls): the (curvature, phi, theta) row of every indexed
     point from its k-neighborhood, and the r_th-ball table."""
-    normals, curv = _feature_arrays(index.points, index.knn_batch(index.points, k))
+    normals, curv = _features(index, k)
     return np.column_stack([curv, *_angles(normals)]), _ball_table(index, r_th)
 
 
@@ -258,12 +294,31 @@ def _correspond_arrays(moving_pts, moving_sph, primary, tgt_pts, tgt_sph, balls,
     neighbor (SpatialIndex.nearest); the match is the minimum feature
     distance inside the r_th-ball around it, read from the target's ball
     table (_ball_table). Ties prefer the primary neighbor, then the lowest
-    index. Returns (target_idx, dc, ds) for every moving point."""
+    index. Returns (target_idx, dc, ds) for every moving point.
+
+    The rows are matched in blocks: a block ends where the running ball
+    size crosses a multiple of _BLOCK_PAIRS, so it holds fewer than
+    _BLOCK_PAIRS entries plus those of its last ball."""
     n = moving_pts.shape[0]
     indptr, indices = balls
     starts = indptr[primary]
     counts = indptr[primary + 1] - starts
     begins = np.cumsum(counts) - counts
+    edges = [0, *(np.flatnonzero(np.diff(begins // _BLOCK_PAIRS)) + 1), n]
+    chosen, dc, ds = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    for lo, hi in zip(edges, edges[1:]):
+        chosen[lo:hi], dc[lo:hi], ds[lo:hi] = _correspond_block(
+            moving_pts[lo:hi], moving_sph[lo:hi], primary[lo:hi], starts[lo:hi], counts[lo:hi],
+            begins[lo:hi] - begins[lo], tgt_pts, tgt_sph, indices, weights)
+    return chosen, dc, ds
+
+
+def _correspond_block(moving_pts, moving_sph, primary, starts, counts, begins, tgt_pts,
+                      tgt_sph, indices, weights):
+    """_correspond_arrays on one block of moving rows, over all of their
+    ball entries at once: row i's ball is indices[starts[i]:starts[i] +
+    counts[i]], and begins[i] its offset in the block's entries."""
+    n = moving_pts.shape[0]
     rows = np.repeat(np.arange(n), counts)
     flat = indices[np.arange(rows.size) + np.repeat(starts - begins, counts)]
     ds_all = d_s(np.take(moving_sph, rows, axis=0), np.take(tgt_sph, flat, axis=0), weights)
@@ -361,8 +416,7 @@ def _csn_bins(source: PointCloud, target: PointCloud,
                          f"diagonal {diag:g}")
     index = cloud_index(target)
     tgt_sph, balls = cloud_tables(target, _target_tables, k, r_th)
-    normals, curv = _feature_arrays(source.points,
-                                    SpatialIndex(source).knn_batch(source.points, k))
+    normals, curv = _features(SpatialIndex(source), k)
 
     def step(bin_normals, bin_curv, moving_pts, primary, rotation):
         sph = np.column_stack([bin_curv, *_angles(bin_normals @ rotation.T)])

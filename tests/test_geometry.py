@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from bonereg import PointCloud, RigidTransform, SpatialIndex, d_c, d_s, jacobi_eigh3
-from bonereg.geometry import _angles, _feature_arrays
+from bonereg.geometry import _angles
+from bonereg.registration import _features
 
 TWO_PI = 2 * np.pi
 
 
 def features(pts, k):
     """(normals, curvature, phi, theta) of every point's k-neighborhood."""
-    normals, curvature = _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
+    normals, curvature = _features(SpatialIndex(pts), k)
     return (normals, curvature, *_angles(normals))
 
 

@@ -10,7 +10,11 @@ this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
-which names every key whose digest changed, or says none did.
+which names every key whose digest changed, or says none did. With
+--check it only compares: it writes nothing, and exits 1 if any digest
+changed.
+
+    PYTHONPATH=src python tests/test_golden.py --check
 
 Another numpy or scipy may round differently, so on other versions the
 test fails and names both sets of versions.
@@ -151,18 +155,24 @@ def flat(doc: dict, prefix: str = "") -> dict[str, str]:
 if __name__ == "__main__":
     import contextlib
     import io
+    import sys
     import tempfile
 
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         stacks, outputs = stack_run_digests(Path(tmp))
     old = flat(json.loads(GOLDEN.read_text())) if GOLDEN.exists() else {}
     doc = {**versions(), "stack_cli": outputs, "registration": registration_digests(),
            "synth": {"stacks": stacks, "moves": move_digests()}}
-    GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")
+    if not check:
+        GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"wrote {GOLDEN}")
     new = flat(doc)
     changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-    print(f"wrote {GOLDEN}")
     for key in changed:
         print(f"changed {key}: {old.get(key)} -> {new.get(key)}")
     if not changed:
         print("no digest changed")
+    sys.exit(1 if check and changed else 0)

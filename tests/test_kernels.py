@@ -1,17 +1,22 @@
 """Property tests: the spatial and correspondence kernels against
 brute-force loops that use the same numpy distance arithmetic, so results
-must agree exactly, ties included; and the feature pass under rigid
-motion."""
+must agree exactly, ties included; the feature pass under rigid motion;
+and the blocked kernels against one block."""
+
+import contextlib
+import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from bonereg import PhantomSpec, RigidTransform, SpatialIndex, d_s, make_phantom
+from bonereg import (CsnIcpConfig, PhantomSpec, PointCloud, RigidTransform, SpatialIndex,
+                     csn_icp, d_s, make_phantom, partition_register, report_to_dict)
+from bonereg import registration
 from bonereg.geometry import _feature_arrays
-from bonereg.registration import _ball_table, _correspond_arrays
+from bonereg.registration import _ball_table, _correspond_arrays, _target_tables
 
 coords = st.floats(-4.0, 4.0, allow_nan=False, width=64)
 
@@ -247,8 +252,10 @@ def test_features_follow_rigid_motion(move):
     dot product with the offset from the cloud centroid is within 1e-9
     of zero. Each normal is the least-variance direction of its
     neighborhood, with curvature the smallest eigenvalue's share."""
-    normals, curvature = _feature_arrays(PHANTOM, PHANTOM_NBR)
-    moved_normals, moved_curvature = _feature_arrays(move.apply(PHANTOM), PHANTOM_NBR)
+    moved = move.apply(PHANTOM)
+    normals, curvature = _feature_arrays(PHANTOM, PHANTOM_NBR, PHANTOM - PHANTOM.mean(axis=0))
+    moved_normals, moved_curvature = _feature_arrays(moved, PHANTOM_NBR,
+                                                     moved - moved.mean(axis=0))
     assert np.abs(moved_curvature - curvature).max() <= 1e-9
     turned = normals @ move.rotation.T
     same = np.linalg.norm(moved_normals - turned, axis=1) <= 1e-9
@@ -261,3 +268,69 @@ def test_features_follow_rigid_motion(move):
     least = curvature * np.trace(cov, axis1=1, axis2=2)
     res = np.linalg.norm(np.einsum("nij,nj->ni", cov, normals) - least[:, None] * normals, axis=1)
     assert (res <= 1e-9 * np.linalg.norm(cov, axis=(1, 2))).all()
+
+
+@contextlib.contextmanager
+def budget(rows, pairs):
+    """Run the blocked kernels with this working-memory budget."""
+    saved = registration._BLOCK_ROWS, registration._BLOCK_PAIRS
+    registration._BLOCK_ROWS, registration._BLOCK_PAIRS = rows, pairs
+    try:
+        yield
+    finally:
+        registration._BLOCK_ROWS, registration._BLOCK_PAIRS = saved
+
+
+@st.composite
+def block_cases(draw):
+    """A row and a pair budget of a few units, and target and moving clouds
+    whose sizes sit one below, at or one above a multiple of the row
+    budget."""
+    rows, pairs = draw(st.integers(2, 9)), draw(st.integers(1, 12))
+
+    def size():
+        return rows * (draw(st.integers(110, 160)) // rows) + draw(st.sampled_from([-1, 0, 1]))
+
+    target = make_phantom(PhantomSpec("two_lobe_pelvis", size(), draw(st.integers(0, 99))))
+    source = make_phantom(PhantomSpec("two_lobe_pelvis", size(), draw(st.integers(0, 99))))
+    move = RigidTransform.from_axis_angle((0.3, 1.0, 0.2), draw(st.floats(0.0, 0.2)),
+                                          (0.02, -0.01, 0.03))
+    return rows, pairs, target, PointCloud(move.apply(source.points))
+
+
+def raw(*arrays) -> list[bytes]:
+    return [a.dtype.str.encode() + a.tobytes() for a in arrays]
+
+
+@settings(max_examples=25, deadline=None)
+@example((2, 1, make_phantom(PhantomSpec("two_lobe_pelvis", 101, 3)),
+          make_phantom(PhantomSpec("two_lobe_pelvis", 100, 4))))
+@given(block_cases())
+def test_blocks_match_one_block(case):
+    """The feature pass, the ball table and matching in many small blocks
+    with ragged ends give the single-block outputs byte for byte, and so
+    do csn_icp and partition_register runs on fresh copies of the target
+    (a target keeps its tables, which were built under one budget). The
+    blocked run goes first, so a row it left unwritten holds memory of an
+    earlier example, not the single-block answer."""
+    rows, pairs, target, source = case
+    k, r_th = 6, 0.2 * target.bbox_diagonal()
+    configs = [CsnIcpConfig(k=k, r_th=r_th, max_iterations=4, partitions=p) for p in (1, 2)]
+    assert min(len(target), len(source)) > 3 * rows
+
+    def run():
+        index = SpatialIndex(target)
+        tgt_sph, balls = _target_tables(index, k, r_th)
+        moving_sph = _target_tables(SpatialIndex(source), k, r_th)[0]
+        matched = _correspond_arrays(source.points, moving_sph, index.nearest(source.points)[0],
+                                     target.points, tgt_sph, balls, (1.0, 0.5, 2.0))
+        reports = [register(source, PointCloud(target.points.copy()), config)
+                   for register, config in zip((csn_icp, partition_register), configs)]
+        return (raw(tgt_sph, *balls, *matched),
+                [json.dumps(report_to_dict(r)) for r in reports])
+
+    with budget(rows, pairs):
+        got = run()
+    with budget(1 << 30, 1 << 62):  # one block
+        want = run()
+    assert got == want

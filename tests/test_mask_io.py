@@ -132,6 +132,19 @@ def test_binary_bits_check(make, ndim, what):
         assert np.array_equal(kept, given_bits)
         given_bits[...] = 0  # the holder keeps its own copy
         assert kept.any()
+        # and the copy is read-only, so it stays 0/1
+        with pytest.raises(ValueError, match="read-only"):
+            kept[(0,) * ndim] = 7
+        assert np.array_equal(make(kept).bits, kept)
+
+
+def test_stack_bits_stay_binary(tmp_path):
+    stack = make_stack([[[0, 1], [1, 0]], [[1, 1], [0, 0]]])
+    with pytest.raises(ValueError, match="read-only"):
+        stack.bits[0, 0, 0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        stack.bits[1] = 0
+    assert load_stack(write_stack(stack, tmp_path)) == stack
 
 
 @settings(max_examples=40, deadline=None)

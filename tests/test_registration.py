@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,8 +12,9 @@ from bonereg import (CsnIcpConfig, DegenerateGeometryError, DivergenceError,
                      perturb, rotation_angle_between, solve_rigid,
                      PerturbationSpec, PhantomSpec, SpatialIndex)
 from bonereg import geometry, metrics, registration
-from bonereg.geometry import _angles, _feature_arrays
-from bonereg.registration import _ball_table, _correspond_arrays, _reject_mask, report_to_dict
+from bonereg.geometry import _angles
+from bonereg.registration import (_ball_table, _correspond_arrays, _features, _reject_mask,
+                                  report_to_dict)
 
 
 def unit(v):
@@ -117,7 +119,7 @@ def test_solve_rigid_local_optimality():
 
 def spherical(pts, k):
     """(curvature, phi, theta) rows of every point's k-neighborhood."""
-    normals, curv = _feature_arrays(pts, SpatialIndex(pts).knn_batch(pts, k))
+    normals, curv = _features(SpatialIndex(pts), k)
     return np.column_stack([curv, *_angles(normals)])
 
 
@@ -354,16 +356,27 @@ def count_index_work(monkeypatch) -> dict:
     return work
 
 
+def blocks(*sizes) -> list[int]:
+    """Batch sizes of one pass over each of clouds of these sizes in turn,
+    in blocks of registration._BLOCK_ROWS points: each cloud's batches sum
+    to its size, and none is larger than the block."""
+    b = registration._BLOCK_ROWS
+    return [min(b, n - lo) for n in sizes for lo in range(0, n, b)]
+
+
 @pytest.mark.parametrize("partitions", [1, 2])
 def test_one_moving_tree_per_run(monkeypatch, partitions):
     cloud, target = turned_phantom()
+    assert min(len(cloud), len(target)) > registration._BLOCK_ROWS
     work = count_index_work(monkeypatch)
     report = partition_register(cloud, target, CsnIcpConfig(partitions=partitions))
     assert report.iterations_used > 2
     # the target's tree and features, then one tree and one feature
     # estimate over the whole moving cloud, at its source pose, whatever
     # the number of bins
-    assert work["builds"] == work["mats"] == [len(target), len(cloud)]
+    assert work["builds"] == [len(target), len(cloud)]
+    assert work["knn"] == work["mats"] == blocks(len(target), len(cloud))
+    assert work["balls"] == blocks(len(target))
 
 
 def report_json(report) -> str:
@@ -376,7 +389,7 @@ def test_second_run_onto_a_target_builds_only_the_moving_side(monkeypatch):
     work = count_index_work(monkeypatch)
     second = csn_icp(cloud, target)
     n = len(cloud)
-    assert work == {"builds": [n], "knn": [n], "mats": [n], "balls": []}
+    assert work == {"builds": [n], "knn": blocks(n), "mats": blocks(n), "balls": []}
     fresh = csn_icp(cloud, PointCloud(target.points.copy()))
     assert report_json(first) == report_json(second) == report_json(fresh)
 
@@ -392,7 +405,8 @@ def test_changed_k_or_r_th_rebuilds_the_target_tables(monkeypatch):
         for key in work:
             work[key].clear()
         report = csn_icp(cloud, target, config)
-        assert work == {"builds": [n], "knn": [m, n], "mats": [m, n], "balls": [m]}
+        assert work == {"builds": [n], "knn": blocks(m, n), "mats": blocks(m, n),
+                        "balls": blocks(m)}
         fresh = csn_icp(cloud, PointCloud(target.points.copy()), config)
         assert report_json(report) == report_json(fresh)
     # the checks still run before any table on a prepared target
@@ -400,6 +414,26 @@ def test_changed_k_or_r_th_rebuilds_the_target_tables(monkeypatch):
         csn_icp(cloud, target, CsnIcpConfig(r_th=target.bbox_diagonal()))
     with pytest.raises(DegenerateGeometryError):
         csn_icp(cloud, target, CsnIcpConfig(k=len(cloud) + 1))
+
+
+def test_csn_icp_working_memory_is_bounded():
+    """numpy reports its buffers to tracemalloc, so the traced peak of a
+    run counts every array it makes: on an 8,000-point target, tables
+    included, the blocked kernels peak near 4.6 MB, where building every
+    temporary for the whole cloud at once peaked at 16.5 MB."""
+    target = make_phantom(PhantomSpec("two_lobe_pelvis", 8000, 7))
+    source = PointCloud(RigidTransform.from_axis_angle(
+        (0.3, 1.0, 0.2), 0.17, (0.02, -0.01, 0.03)).apply(target.points))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = csn_icp(source, target, CsnIcpConfig(max_iterations=3))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.iterations_used == 3
+    assert peak < 8 * 2 ** 20
 
 
 def test_icp_classic_and_rmse_share_one_target_tree(monkeypatch):
@@ -574,7 +608,7 @@ def test_partition_two_equals_csn_per_bin(monkeypatch):
     monkeypatch.setattr(SpatialIndex, "ball_batch", counted)
     monkeypatch.setattr(registration, "_iterate", captured)
     report = partition_register(source, target, config)
-    assert ball_calls == [len(target)]  # one ball table shared by both bins
+    assert ball_calls == blocks(len(target))  # one ball table shared by both bins
     bins = partition_indices(source, 2)
     # one loop per bin, from the bin's own points at the identity, with no
     # centroid shift
