@@ -24,7 +24,8 @@ entries, each block writing its slice of the outputs. None of the three
 holds a temporary wider than one block, and every row's result is the
 same whatever the block size. What spans the cloud is O(n) per-point
 arrays (outputs, features, the nearest query's windows) and the kept
-ball table, whose size is n times the mean ball size.
+ball table, which takes 4 bytes per entry (int32 indices), n times the
+mean ball size entries in all, plus 8 bytes per point for its row offsets.
 """
 
 from __future__ import annotations
@@ -270,13 +271,15 @@ def _features(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _ball_table(index: SpatialIndex, r_th: float) -> tuple[np.ndarray, np.ndarray]:
     """r_th-ball around every indexed point as CSR (indptr, indices): the
     ball of point j is indices[indptr[j]:indptr[j + 1]], ascending. The
-    balls are queried _BLOCK_ROWS centres at a time."""
+    balls are queried _BLOCK_ROWS centres at a time, and each block's
+    indices are stored as int32 (a cloud holds fewer than 2**31 points);
+    indptr, which counts entries, stays int64."""
     pts = index.points
     counts, blocks = [], []
     for lo in range(0, len(pts), _BLOCK_ROWS):
         balls = index.ball_batch(pts[lo:lo + _BLOCK_ROWS], r_th)
         counts.append(np.fromiter(map(len, balls), dtype=np.int64, count=len(balls)))
-        blocks.append(np.concatenate(balls))
+        blocks.append(np.concatenate(balls, dtype=np.int32))
     indptr = np.zeros(len(pts) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
     return indptr, np.concatenate(blocks)

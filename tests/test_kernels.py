@@ -1,7 +1,8 @@
 """Property tests: the spatial and correspondence kernels against
 brute-force loops that use the same numpy distance arithmetic, so results
 must agree exactly, ties included; the feature pass under rigid motion;
-and the blocked kernels against one block."""
+the blocked kernels against one block; and mask closing against a
+pixel-by-pixel loop."""
 
 import contextlib
 import json
@@ -13,10 +14,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from bonereg import (CsnIcpConfig, PhantomSpec, PointCloud, RigidTransform, SpatialIndex,
-                     csn_icp, d_s, make_phantom, partition_register, report_to_dict)
+                     binary_close, csn_icp, d_s, make_phantom, partition_register,
+                     report_to_dict)
 from bonereg import registration
 from bonereg.geometry import _feature_arrays
 from bonereg.registration import _ball_table, _correspond_arrays, _target_tables
+from test_metrics import brute_close
 
 coords = st.floats(-4.0, 4.0, allow_nan=False, width=64)
 
@@ -188,6 +191,7 @@ def test_ball_batch_matches_scan(data, pts):
 @given(clouds(), radii)
 def test_ball_table_matches_scan(pts, r):
     indptr, indices = _ball_table(SpatialIndex(pts), r)
+    assert indptr.dtype == np.int64 and indices.dtype == np.int32
     assert indptr[0] == 0 and indptr[-1] == indices.size
     for j, c in enumerate(pts):
         assert indices[indptr[j]:indptr[j + 1]].tolist() == brute_ball(pts, c, r).tolist()
@@ -334,3 +338,19 @@ def test_blocks_match_one_block(case):
     with budget(1 << 30, 1 << 62):  # one block
         want = run()
     assert got == want
+
+
+@st.composite
+def mask_stacks(draw):
+    """(d, h, w) 0/1 stacks of 1-3 slices, sides 1-12 and any density."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    density = draw(st.floats(0.0, 1.0))
+    return draw(arrays(np.uint8, shape, elements=st.floats(0.0, 1.0).map(lambda u: u < density)))
+
+
+@given(mask_stacks(), st.integers(0, 20))
+def test_closing_matches_brute_force_per_slice(bits, iterations):
+    """Iterations run past max(h, w), where the sweep width is clamped."""
+    got = binary_close(bits, iterations)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.array([brute_close(b, iterations) for b in bits]))

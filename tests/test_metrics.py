@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bonereg
 from bonereg import (ConfusionCounts, PointCloud, RasterGrid, RigidTransform,
                      SliceMask, binary_close, confusion,
                      d_mr_d_ct, dice, evaluate_slices, iou, metrics, reslice, rmse)
@@ -179,21 +186,21 @@ def test_closing_matches_brute_force():
 
 
 def test_closing_width_is_clamped(monkeypatch):
-    # a huge iteration count filters no wider than the image allows, with
+    # a huge iteration count sweeps no wider than the image allows, with
     # the result of n = max(h, w)
     bits = np.zeros((5, 7), dtype=np.uint8)
     bits[1:4, 2:6] = 1
     bits[2, 3] = 0
-    sizes = []
-    maximum_filter = metrics.ndimage.maximum_filter
+    widths = []
+    sweep = metrics._sweep
 
-    def recorded(image, size, **kwargs):
-        sizes.append(size)
-        return maximum_filter(image, size, **kwargs)
+    def recorded(lines, n, op):
+        widths.append(n)
+        return sweep(lines, n, op)
 
-    monkeypatch.setattr(metrics.ndimage, "maximum_filter", recorded)
+    monkeypatch.setattr(metrics, "_sweep", recorded)
     got = binary_close(bits, 10**6)
-    assert sizes == [(15, 15)]
+    assert widths == [7] * 4  # dilation and erosion, each along rows then columns
     assert np.array_equal(got, binary_close(bits, 7))
     assert np.array_equal(got, brute_close(bits, 7))
 
@@ -224,6 +231,50 @@ def test_closing_fills_small_holes():
     ring[2:12, 2:12] = 1
     ring[3:11, 3:11] = 0
     assert np.array_equal(binary_close(ring, 2), brute_close(ring, 2))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40, 400])
+def test_closing_in_small_blocks_matches_one_block(monkeypatch, cells):
+    # budgets of a few cells cut every sweep into many blocks of one or a
+    # few lines, slices or columns, the last of them ragged
+    rng = np.random.default_rng(cells)
+    for shape in ((3, 11, 13), (13, 11)):
+        bits = (rng.random(shape) < 0.4).astype(np.uint8)
+        for iterations in (1, 2, 6, 30):
+            monkeypatch.setattr(metrics, "_BLOCK_CELLS", cells)
+            got = binary_close(bits, iterations)
+            monkeypatch.setattr(metrics, "_BLOCK_CELLS", 1 << 30)
+            assert np.array_equal(got, binary_close(bits, iterations))
+
+
+@pytest.mark.parametrize("iterations", [2, 10**6])
+def test_closing_working_memory_is_bounded(iterations):
+    """numpy reports its buffers to tracemalloc, so the traced peak counts
+    the result and every block temporary: about 1.2 times the mask's
+    bytes on a 1024 x 1024 mask, where one block over the whole mask
+    takes 4 times (n = 2) and 10 times (clamped n = 1024)."""
+    bits = (np.random.default_rng(6).random((1024, 1024)) < 0.3).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        closed = binary_close(bits, iterations)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert closed.shape == bits.shape
+    assert peak <= 2 * bits.nbytes
+
+
+def test_import_leaves_scipy_ndimage_out():
+    # closing is numpy alone, so no bonereg process loads scipy.ndimage
+    src = str(Path(bonereg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bonereg, bonereg.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_reslice_band_selection():

@@ -436,6 +436,26 @@ def test_csn_icp_working_memory_is_bounded():
     assert peak < 8 * 2 ** 20
 
 
+def test_ball_table_build_memory_is_bounded():
+    """The kept table takes 4 bytes per entry, and building it holds the
+    int32 blocks and their concatenation: on a 20,000-point phantom at r_th
+    = 2% of the diagonal, a 2.1 MB table peaks near 4.6 MB, where int64
+    indices made a 4.3 MB table and peaked near 8.9 MB."""
+    cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 20000, 7))
+    index = SpatialIndex(cloud)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        indptr, indices = _ball_table(index, 0.02 * cloud.bbox_diagonal())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert indices.dtype == np.int32 and indptr.dtype == np.int64
+    assert indptr[-1] == indices.size > 10 * len(cloud)
+    assert peak < 6 * 2 ** 20
+
+
 def test_icp_classic_and_rmse_share_one_target_tree(monkeypatch):
     cloud, target = turned_phantom()
     work = count_index_work(monkeypatch)
