@@ -45,6 +45,11 @@ valid while the cloud lives: cloud_index gives each live cloud one
 SpatialIndex, and cloud_tables keeps one more set of tables beside it.
 Both are kept in a weak-keyed memo and go with the cloud.
 
+The k-d tree is scipy's cKDTree, imported when the first SpatialIndex is
+built: importing scipy.spatial costs more memory and start-up time than
+numpy itself, and a process that builds no index (build-cloud, reslice,
+synth) never loads it.
+
 Working memory: a kernel's temporaries grow with the rows it is given
 (a k-NN query holds its (m, k + 8) window and the (m, k + 8, 3) gather,
 a ball query its candidates, _feature_arrays the (m, k, 3)
@@ -60,7 +65,6 @@ import weakref
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 
@@ -85,6 +89,7 @@ class SpatialIndex:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("index needs points of shape (n, 3)")
         self.points = pts
+        from scipy.spatial import cKDTree  # scipy loads with the first index
         self._tree = cKDTree(pts)
 
     def __len__(self) -> int:

@@ -106,7 +106,9 @@ class RigidTransform:
         return cls(r, np.asarray(translation, dtype=float))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
+        out = np.asarray(points, dtype=float) @ self.rotation.T
+        out += self.translation  # the product is a new array: one temporary fewer
+        return out
 
     def compose(self, inner: RigidTransform) -> RigidTransform:
         """self after inner: (self o inner)(p) == self(inner(p))."""

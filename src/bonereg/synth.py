@@ -21,7 +21,10 @@ the first uniform shifted into (0, 1]:
 
 gaussians(n) always consumes whole pairs (ceil(n/2) of them). Outputs
 are computed in batches in wrapping uint64 arithmetic
-(SplitMix64.u64_batch); a single draw is a batch of one.
+(SplitMix64.u64_batch); a single draw is a batch of one. gaussians fills
+its output a fixed number of pairs at a time, each block taking the next
+outputs of the same stream, so its draws and the generator state after
+them are those of one batch, and its temporaries stay one block long.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from .registration import RigidTransform
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Box-Muller pairs per block of SplitMix64.gaussians
+_GAUSS_BLOCK_PAIRS = 1 << 11
 
 PHANTOM_SHAPES = ("ellipsoid", "two_lobe_pelvis")
 
@@ -77,16 +83,20 @@ class SplitMix64:
         return (self.u64_batch(n) >> np.uint64(11)) * 2.0 ** -53
 
     def gaussians(self, n: int) -> np.ndarray:
-        """n standard normal draws via Box-Muller pairs."""
+        """n standard normal draws via Box-Muller pairs, written into one
+        output _GAUSS_BLOCK_PAIRS pairs at a time; the blocks take the
+        stream in order, so the draws are those of a single batch."""
         pairs = (n + 1) // 2
-        bits = self.u64_batch(2 * pairs)
-        u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-        u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        rad = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
         out = np.empty(2 * pairs)
-        out[0::2] = rad * np.cos(ang)
-        out[1::2] = rad * np.sin(ang)
+        for start in range(0, pairs, _GAUSS_BLOCK_PAIRS):
+            stop = min(start + _GAUSS_BLOCK_PAIRS, pairs)
+            bits = self.u64_batch(2 * (stop - start))
+            u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+            u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+            rad = np.sqrt(-2.0 * np.log(u1))
+            ang = 2.0 * np.pi * u2
+            out[2 * start:2 * stop:2] = rad * np.cos(ang)
+            out[2 * start + 1:2 * stop:2] = rad * np.sin(ang)
         return out[:n]
 
 
@@ -227,7 +237,9 @@ def perturb(cloud: PointCloud, spec: PerturbationSpec) -> tuple[PointCloud, Rigi
     out = transform.apply(pts)
     if spec.noise_sigma > 0:
         noise = rng.gaussians(3 * len(pts)).reshape(-1, 3)
-        out = out + spec.noise_sigma * noise
+        noise *= spec.noise_sigma
+        noise += out  # float addition commutes: bit for bit out + noise
+        out = noise
     return PointCloud(out), transform
 
 

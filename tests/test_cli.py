@@ -8,6 +8,7 @@ import bonereg
 from bonereg import (PhantomSpec, PointCloud, RigidTransform, evaluate_slices, load_xyz,
                      make_phantom, perturbation_spec_from_dict, phantom_spec_from_dict,
                      save_xyz, voxelize_to_stack, write_stack)
+from bonereg import cli
 from bonereg.cli import main
 
 
@@ -383,3 +384,48 @@ def test_register_determinism(tmp_path, capsys):
         assert code == 0
     for name in ("report.json", "registered.xyz"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def test_main_runs_a_command_replaced_after_the_first_call(tmp_path, capsys, monkeypatch):
+    # main keeps its parser, but looks the command up on the module per call
+    xyz = tmp_path / "missing.xyz"
+    argv = ["register", xyz, xyz, "--out", tmp_path / "r"]
+    code, _, err = run(argv, capsys)
+    assert code == 1 and "missing.xyz" in err
+    seen = []
+    monkeypatch.setattr(cli, "cmd_register", lambda args: seen.append(args) or 7)
+    code, _, _ = run(argv, capsys)
+    assert code == 7
+    assert [(a.command, a.source, a.algorithm) for a in seen] == \
+        [("register", str(xyz), "csn-icp")]
+
+
+SCIPY_PROBE = """
+import json, sys
+from bonereg.cli import main
+
+steps = []
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    steps.append([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")])
+print(json.dumps(steps))
+"""
+
+
+def test_commands_without_an_index_leave_scipy_out(tmp_path, fresh_python):
+    pp, vp = write_specs(tmp_path)
+    s, c = tmp_path / "s", tmp_path / "c"
+    commands = [
+        ["synth", pp, vp, "--out", s, "--voxelize", 0.05, 0.08],
+        ["build-cloud", s / "phantom_stack" / "manifest.json",
+         s / "perturbed_stack" / "manifest.json", "--out", c],
+        ["reslice", s / "phantom.xyz", "--out", tmp_path / "slices"],
+        ["register", c / "mr_cloud.xyz", c / "ct_cloud.xyz", "--algorithm", "icp",
+         "--out", tmp_path / "r"],
+    ]
+    doc = json.dumps([[str(a) for a in argv] for argv in commands])
+    steps = json.loads(fresh_python(SCIPY_PROBE, doc).splitlines()[-1])
+    assert [code for code, _ in steps] == [0, 0, 0, 0]
+    assert [loaded for _, loaded in steps[:3]] == [[], [], []]
+    # register builds a k-d tree, so the probe does see scipy.spatial load
+    assert "scipy.spatial" in steps[3][1]

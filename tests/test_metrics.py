@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bonereg
 from bonereg import (ConfusionCounts, PointCloud, RasterGrid, RigidTransform,
                      SliceMask, binary_close, confusion,
                      d_mr_d_ct, dice, evaluate_slices, iou, metrics, reslice, rmse)
@@ -266,15 +261,17 @@ def test_closing_working_memory_is_bounded(iterations):
     assert peak <= 2 * bits.nbytes
 
 
-def test_import_leaves_scipy_ndimage_out():
+def test_import_leaves_scipy_ndimage_out(fresh_python):
     # closing is numpy alone, so no bonereg process loads scipy.ndimage
-    src = str(Path(bonereg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, bonereg, bonereg.cli; print('scipy.ndimage' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert fresh_python(probe).strip() == "False"
+
+
+def test_import_leaves_scipy_out(fresh_python):
+    # scipy.spatial loads with the first SpatialIndex, not with the package
+    probe = ("import sys, bonereg, bonereg.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    assert fresh_python(probe).strip() == "[]"
 
 
 def test_reslice_band_selection():

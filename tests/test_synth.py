@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from bonereg import synth
 from bonereg import (PerturbationSpec, PhantomSpec, PointCloud, SplitMix64, binary_close,
                      build_point_cloud, make_phantom, perturb, voxelize_to_stack)
 
@@ -72,6 +75,50 @@ def test_splitmix_uniform_range_and_determinism():
     assert (u >= 0).all() and (u < 1).all()
     assert SplitMix64(7).uniform_batch(10000).tolist() == u.tolist()
     assert abs(u.mean() - 0.5) < 0.02
+
+
+def reference_gaussians(rng, n):
+    """The module docstring's Box-Muller over ceil(n/2) pairs, in one batch."""
+    pairs = (n + 1) // 2
+    bits = rng.u64_batch(2 * pairs)
+    u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    rad = np.sqrt(-2.0 * np.log(u1))
+    ang = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = rad * np.cos(ang)
+    out[1::2] = rad * np.sin(ang)
+    return out[:n]
+
+
+@pytest.mark.parametrize("block_pairs", [3, synth._GAUSS_BLOCK_PAIRS])
+def test_gaussians_in_blocks_match_one_batch(monkeypatch, block_pairs):
+    monkeypatch.setattr(synth, "_GAUSS_BLOCK_PAIRS", block_pairs)
+    block = 2 * block_pairs
+    g, ref = SplitMix64(2022), SplitMix64(2022)
+    for n in (1, block - 1, block, block + 1, 3 * block + 5, 2):
+        got = g.gaussians(n)
+        assert got.shape == (n,)
+        assert np.array_equal(got, reference_gaussians(ref, n))
+        assert g._state == ref._state
+
+
+def test_perturb_noise_working_memory_is_bounded():
+    # noise is drawn in blocks and added in place, so about two point arrays
+    # are live at once: the noise and the moved points, then the noise and
+    # the copy the perturbed PointCloud keeps
+    cloud = make_phantom(PhantomSpec("two_lobe_pelvis", 30000, 7))
+    spec = PerturbationSpec(rotation_axis=(0.0, 0.6, 0.8), rotation_angle=0.3,
+                            translation=(0.1, -0.2, 0.05), noise_sigma=0.01, seed=11)
+    perturb(cloud, spec)
+    tracemalloc.start()
+    try:
+        out, _ = perturb(cloud, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(cloud)
+    assert peak < 2.5e6
 
 
 def test_gaussians_deterministic_and_standard():
