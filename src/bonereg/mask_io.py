@@ -107,6 +107,8 @@ def _read_pgm(path: Path) -> np.ndarray:
         header.append(int(raw[start:pos]))
     pos += 1  # single whitespace byte terminating the header
     width, height, maxval = header
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: slice is {width}x{height}, needs at least one pixel")
     if not 0 < maxval < 256:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     need = width * height

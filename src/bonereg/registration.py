@@ -10,6 +10,9 @@ median-relative thresholds before the SVD solve; the classic baseline
 source's centroid on the target's. partition_register splits the moving
 cloud into contiguous x-sorted bins and registers each bin from the
 identity, modeling articulated motion; csn_icp is its one-bin case.
+icp_classic keeps a driver of its own: it needs no features, ball table
+or bins, and sharing the CSN driver would make that driver branch on
+its caller.
 
 Each step has one kernel: _correspond_arrays matches every moving point
 (scored with geometry.d_s and d_c) and _reject_mask applies the
@@ -196,7 +199,8 @@ class RegistrationReport:
     """Outcome of one registration run.
 
     per_iteration_rmse holds the nearest-neighbor RMSE after each applied
-    iteration, at least one; final_transforms has one entry per partition.
+    iteration, at least one, and iterations_used is its length;
+    final_transforms has one entry per partition.
 
     The RMSE is that of the moving points as _iterate moved them, one step
     at a time, so final_rmse may differ in the last bits from
@@ -210,7 +214,10 @@ class RegistrationReport:
     accepted_pairs: int
     rejected_pairs: int
     converged: bool
-    iterations_used: int
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.per_iteration_rmse)
 
     @property
     def final_rmse(self) -> float:
@@ -398,65 +405,18 @@ def _iterate(moving: np.ndarray, start: RigidTransform, tgt_index: SpatialIndex,
             converged = True
             break
         prev = cur
-    return RegistrationReport(trace, [total], accepted, rejected, converged, len(trace))
-
-
-def _csn_bins(source: PointCloud, target: PointCloud,
-              config: CsnIcpConfig) -> list[RegistrationReport]:
-    """One CSN-ICP run per partition bin of the source, in bin order. Only
-    a single bin starts centroid-aligned: aligning a bin's centroid to the
-    whole target would mis-center it."""
-    k = config.k
-    if len(source) < k or len(target) < k:
-        raise DegenerateGeometryError(
-            f"clouds must have at least k={k} points (got {len(source)} and {len(target)})")
-    bins = partition_indices(source, config.partitions)
-    if min(b.size for b in bins) < k:
-        raise DegenerateGeometryError(f"a partition holds fewer than k={k} points")
-    diag = target.bbox_diagonal()
-    r_th = config.r_th if config.r_th is not None else 0.02 * diag
-    if not r_th < diag:
-        # a ball that wide holds every target point: an n^2 ball table
-        raise ValueError(f"r_th={r_th:g} must be below the target's bounding-box "
-                         f"diagonal {diag:g}")
-    index = cloud_index(target)
-    tgt_sph, balls = cloud_tables(target, _target_tables, k, r_th)
-    normals, curv = _features(SpatialIndex(source), k)
-
-    def step(bin_normals, bin_curv, moving_pts, primary, rotation):
-        sph = np.column_stack([bin_curv, *_angles(bin_normals @ rotation.T)])
-        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, index.points,
-                                             tgt_sph, balls, config.feature_weights)
-        kept = np.nonzero(_reject_mask(dc, ds, config))[0]
-        return (solve_rigid(np.take(moving_pts, kept, axis=0),
-                            np.take(index.points, tgt_idx[kept], axis=0)),
-                kept.size, len(moving_pts) - kept.size)
-
-    starts = [_centroid_start(source.points, index.points)] if len(bins) == 1 \
-        else [(source.points[b], RigidTransform.identity()) for b in bins]
-    return [_iterate(moving, start, index, config, partial(step, normals[b], curv[b]))
-            for b, (moving, start) in zip(bins, starts)]
+    return RegistrationReport(trace, [total], accepted, rejected, converged)
 
 
 def csn_icp(source: PointCloud, target: PointCloud,
             config: CsnIcpConfig | None = None) -> RegistrationReport:
     """Register source onto target with feature-refined correspondences
-    and median-relative pair rejection.
-
-    The target's index, features and r_th-ball table are built once per
-    target cloud (geometry.cloud_index and cloud_tables): they depend on
-    the target alone, the balls are centred on target points, and the
-    cloud's points are read-only, so later runs onto the same cloud
-    object, with the same k and r_th, reuse them. The source features
-    are estimated once per run, over the whole source at its own pose:
-    rigid motion keeps each point's k-neighborhood, curvature and normal
-    sign, and only rotates its normal, so each iteration takes
-    (phi, theta) from the source normals turned by the running rotation.
-    """
+    and median-relative pair rejection: partition_register's one-bin
+    case, which starts with the source's centroid on the target's."""
     config = config or CsnIcpConfig()
     if config.partitions > 1:
         raise ValueError("csn_icp registers one body; partitions > 1 need partition_register")
-    return _csn_bins(source, target, config)[0]
+    return partition_register(source, target, config)
 
 
 def icp_classic(source: PointCloud, target: PointCloud,
@@ -488,25 +448,63 @@ def partition_indices(source: PointCloud, partitions: int) -> list[np.ndarray]:
 def partition_register(source: PointCloud, target: PointCloud,
                        config: CsnIcpConfig | None = None) -> RegistrationReport:
     """Register x-sorted bins of the source independently onto the full
-    target; one transform per bin.
+    target with CSN-ICP; one transform per bin.
 
-    With partitions=1 this is exactly csn_icp. The bins share the
-    target's tables, built once per target cloud, and one estimate of
-    the source features over the whole source, so no k-neighborhood ends
-    at a bin edge. The reported trace is the RMSE of the union of the transformed
+    With partitions=1 this is csn_icp: the one bin starts centroid-aligned
+    and its report is _iterate's. More bins start from the identity,
+    since aligning a bin's centroid to the whole target would mis-center
+    it, and the reported trace is the RMSE of the union of the transformed
     bins, with bins that converge early held at their final pose.
+
+    The target's index, features and r_th-ball table are built once per
+    target cloud (geometry.cloud_index and cloud_tables): they depend on
+    the target alone, the balls are centred on target points, and the
+    cloud's points are read-only, so later runs onto the same cloud
+    object, with the same k and r_th, reuse them. The source features
+    are estimated once per run, over the whole source at its own pose, so
+    no k-neighborhood ends at a bin edge: rigid motion keeps each point's
+    k-neighborhood, curvature and normal sign, and only rotates its
+    normal, so each iteration takes (phi, theta) from the source normals
+    turned by the running rotation.
     """
     config = config or CsnIcpConfig()
-    reports = _csn_bins(source, target, config)
-    if len(reports) == 1:
-        return reports[0]
-    sizes = np.array([b.size for b in partition_indices(source, config.partitions)], dtype=float)
+    k = config.k
+    if len(source) < k or len(target) < k:
+        raise DegenerateGeometryError(
+            f"clouds must have at least k={k} points (got {len(source)} and {len(target)})")
+    bins = partition_indices(source, config.partitions)
+    if min(b.size for b in bins) < k:
+        raise DegenerateGeometryError(f"a partition holds fewer than k={k} points")
+    diag = target.bbox_diagonal()
+    r_th = config.r_th if config.r_th is not None else 0.02 * diag
+    if not r_th < diag:
+        # a ball that wide holds every target point: an n^2 ball table
+        raise ValueError(f"r_th={r_th:g} must be below the target's bounding-box "
+                         f"diagonal {diag:g}")
+    index = cloud_index(target)
+    tgt_sph, balls = cloud_tables(target, _target_tables, k, r_th)
+    normals, curv = _features(SpatialIndex(source), k)
+
+    def step(bin_normals, bin_curv, moving_pts, primary, rotation):
+        sph = np.column_stack([bin_curv, *_angles(bin_normals @ rotation.T)])
+        tgt_idx, dc, ds = _correspond_arrays(moving_pts, sph, primary, index.points,
+                                             tgt_sph, balls, config.feature_weights)
+        kept = np.nonzero(_reject_mask(dc, ds, config))[0]
+        return (solve_rigid(np.take(moving_pts, kept, axis=0),
+                            np.take(index.points, tgt_idx[kept], axis=0)),
+                kept.size, len(moving_pts) - kept.size)
+
+    if len(bins) == 1:
+        return _iterate(*_centroid_start(source.points, index.points), index, config,
+                        partial(step, normals, curv))
+    reports = [_iterate(source.points[b], RigidTransform.identity(), index, config,
+                        partial(step, normals[b], curv[b])) for b in bins]
+    sizes = np.array([b.size for b in bins], dtype=float)
     # every run records at least one RMSE; a bin that stopped early holds
     # its last one
-    iters = max(r.iterations_used for r in reports)
-    per_bin = np.array([r.per_iteration_rmse
-                        + [r.per_iteration_rmse[-1]] * (iters - r.iterations_used)
-                        for r in reports])
+    traces = [r.per_iteration_rmse for r in reports]
+    iters = max(map(len, traces))
+    per_bin = np.array([t + t[-1:] * (iters - len(t)) for t in traces])
     trace = list(np.sqrt((sizes[:, None] * (per_bin * per_bin)).sum(axis=0) / sizes.sum()))
     return RegistrationReport(
         per_iteration_rmse=trace,
@@ -514,5 +512,4 @@ def partition_register(source: PointCloud, target: PointCloud,
         accepted_pairs=sum(r.accepted_pairs for r in reports),
         rejected_pairs=sum(r.rejected_pairs for r in reports),
         converged=all(r.converged for r in reports),
-        iterations_used=iters,
     )

@@ -72,6 +72,22 @@ def test_synth_invalid_keep_fraction(tmp_path, capsys):
     assert "keep_fraction" in err
 
 
+def test_synth_seed_overrides_both_specs(tmp_path, capsys):
+    pp, vp = write_specs(tmp_path)
+    code, _, err = run(["synth", pp, vp, "--out", tmp_path / "o", "--seed", 11], capsys)
+    assert code == 0, err
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["phantom_spec"]["seed"] == summary["perturbation_spec"]["seed"] == 11
+    # the same outputs as spec files that hold seed 11 themselves
+    (tmp_path / "seeded").mkdir()
+    docs = [{**json.loads(p.read_text()), "seed": 11} for p in (pp, vp)]
+    pp, vp = write_specs(tmp_path / "seeded", *docs)
+    code, _, err = run(["synth", pp, vp, "--out", tmp_path / "s"], capsys)
+    assert code == 0, err
+    for name in ("phantom.xyz", "perturbed.xyz", "transform.json", "summary.json"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+
+
 def test_register_identity(tmp_path, capsys):
     cloud = make_phantom(PhantomSpec("ellipsoid", 500, 2))
     save_xyz(cloud, tmp_path / "c.xyz")
@@ -235,7 +251,8 @@ def test_build_cloud_infinite_spacing_exit_1(tmp_path, capsys, key):
     lambda doc: {**doc, "slice_spacing_mm": "thin"},
     lambda doc: {**doc, "slices": 5},
     lambda doc: {**doc, "slices": [1, 2]},
-], ids=["list", "null-spacing", "string-spacing", "int-slices", "int-names"])
+    lambda doc: {k: v for k, v in doc.items() if k != "slice_spacing_mm"},
+], ids=["list", "null-spacing", "string-spacing", "int-slices", "int-names", "no-spacing"])
 def test_build_cloud_malformed_manifest_exit_1(tmp_path, capsys, edit):
     from test_mask_io import make_stack
     bits = np.zeros((8, 8))
@@ -346,6 +363,8 @@ def test_reslice_command(tmp_path, capsys):
     ("reslice", ["--pixel-pitch", 1e-320], "pixels"),
     ("evaluate", ["--closing-iters", 10**7], "pixels"),
     ("reslice", ["--closing-iters", 10**400], "pixels"),
+    # one band at --z-center has no default thickness
+    ("reslice", ["--z-center", 0.0], "--thickness is required with --z-center"),
 ])
 def test_grid_arguments_exit_1(tmp_path, capsys, command, flags, message):
     save_xyz(make_phantom(PhantomSpec("ellipsoid", 300, 6)), tmp_path / "c.xyz")

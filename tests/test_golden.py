@@ -30,8 +30,9 @@ import pytest
 import scipy
 
 from bonereg import (CsnIcpConfig, PerturbationSpec, PhantomSpec, PointCloud, RigidTransform,
-                     csn_icp, icp_classic, make_phantom, partition_register, perturb,
-                     report_to_dict, voxelize_to_stack, write_stack)
+                     csn_icp, icp_classic, make_phantom, partition_indices, partition_register,
+                     perturb, report_to_dict, rotation_angle_between, voxelize_to_stack,
+                     write_stack)
 from bonereg.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -68,14 +69,16 @@ def stack_run_digests(workdir: Path) -> tuple[dict[str, str], dict[str, str]]:
 
 
 def registration_cases() -> dict:
-    """name -> (register, source, target, config): csn_icp on two 10-25
-    degree moves of a two-lobe phantom, icp_classic on the first, and
-    partition_register on the phantom with its x < 0 and x >= 0 halves
-    turned apart."""
+    """name -> (register, source, target, config, made): csn_icp on two
+    10-25 degree moves of a two-lobe phantom, icp_classic on the first,
+    and partition_register on the phantom with its x < 0 and x >= 0 halves
+    turned apart. made holds the transforms that took the target to the
+    source: the move, or the x < 0 half's and the x >= 0 half's, where
+    source point i is target point i moved."""
     target = make_phantom(PhantomSpec("two_lobe_pelvis", 1500, 13))
     moves = [perturb(target, PerturbationSpec(
         rotation_axis=axis, rotation_angle=math.radians(degrees), translation=shift,
-        noise_sigma=0.002, keep_fraction=0.9, seed=seed))[0]
+        noise_sigma=0.002, keep_fraction=0.9, seed=seed))
         for axis, degrees, shift, seed in (((0.48, 0.6, 0.64), 12.0, (0.03, -0.02, 0.01), 21),
                                            ((-0.6, 0.0, 0.8), 22.0, (-0.04, 0.01, 0.03), 22))]
     pts = target.points
@@ -83,11 +86,11 @@ def registration_cases() -> dict:
               for axis, shift in (((0.0, 1.0, 0.3), (0.01, 0.0, 0.0)),
                                   ((0.2, 0.0, 1.0), (0.0, -0.01, 0.0)))]
     articulated = PointCloud(np.where(pts[:, :1] < 0.0, halves[0].apply(pts), halves[1].apply(pts)))
-    return {"csn_icp_a": (csn_icp, moves[0], target, CsnIcpConfig()),
-            "csn_icp_b": (csn_icp, moves[1], target, CsnIcpConfig()),
-            "icp_classic": (icp_classic, moves[0], target, CsnIcpConfig()),
+    return {"csn_icp_a": (csn_icp, moves[0][0], target, CsnIcpConfig(), moves[0][1:]),
+            "csn_icp_b": (csn_icp, moves[1][0], target, CsnIcpConfig(), moves[1][1:]),
+            "icp_classic": (icp_classic, moves[0][0], target, CsnIcpConfig(), moves[0][1:]),
             "partition_register_2": (partition_register, articulated, target,
-                                     CsnIcpConfig(partitions=2))}
+                                     CsnIcpConfig(partitions=2), tuple(halves))}
 
 
 def registration_digests() -> dict[str, str]:
@@ -95,7 +98,7 @@ def registration_digests() -> dict[str, str]:
     target and once onto a fresh copy of it, and all three reports must
     be equal."""
     out = {}
-    for name, (register, source, target, config) in registration_cases().items():
+    for name, (register, source, target, config, _) in registration_cases().items():
         fresh = PointCloud(target.points.copy())
         texts = {json.dumps(report_to_dict(register(source, onto, config)))
                  for onto in (target, target, fresh)}
@@ -139,6 +142,36 @@ def test_synth_outputs_match_golden(stack_run):
 
 def test_registration_reports_match_golden():
     assert registration_digests() == pinned_golden()["registration"]
+
+
+# bounds on (rotation error in degrees, translation error), one pair per bin
+# for partition_register_2. With the numpy and scipy pinned in golden.json the
+# errors are csn_icp_a 0.0177 and 1.8e-4, csn_icp_b 0.0126 and 1.0e-4,
+# icp_classic 0.0184 and 1.1e-4, and partition_register_2 0.00055 and 2.2e-6,
+# then 0 and 1e-15; the two halves are 7.2 degrees apart
+ACCURACY = {"csn_icp_a": [(0.05, 5e-4)], "csn_icp_b": [(0.05, 5e-4)],
+            "icp_classic": [(0.05, 5e-4)],
+            "partition_register_2": [(0.005, 2e-5), (0.005, 2e-5)]}
+
+
+@pytest.mark.parametrize("name", ACCURACY)
+def test_registration_cases_recover_their_transforms(name):
+    """Each case recovers the inverse of the transforms that made it; each
+    partition bin is scored against the half most of its points carry. It
+    reads no pinned versions, so it runs on any numpy and scipy."""
+    register, source, target, config, made = registration_cases()[name]
+    report = register(source, target, config)
+    if len(made) == 1:
+        wants = [made[0].inverse()]
+    else:
+        below = target.points[:, 0] < 0.0
+        wants = [made[0 if below[b].mean() >= 0.5 else 1].inverse()
+                 for b in partition_indices(source, len(made))]
+    errors = [(math.degrees(rotation_angle_between(got, want)),
+               float(np.linalg.norm(got.translation - want.translation)))
+              for got, want in zip(report.final_transforms, wants, strict=True)]
+    assert all(rot < rot_max and trans < trans_max
+               for (rot, trans), (rot_max, trans_max) in zip(errors, ACCURACY[name])), errors
 
 
 def flat(doc: dict, prefix: str = "") -> dict[str, str]:

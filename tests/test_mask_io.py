@@ -184,6 +184,26 @@ def test_load_preserves_manifest_order(tmp_path):
         assert np.array_equal(stack.bits[i], m)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"P2\n2 1\n255\n0 0\n", "not a binary PGM"),
+    (b"P5\n2 1", "truncated PGM header"),
+    (b"P5\n2 1\n65535\n" + bytes(4), "only 8-bit PGM supported"),
+    (b"P5\n2 1\n0\n" + bytes(2), "only 8-bit PGM supported"),
+    (b"P5\n2 2\n255\n" + bytes(3), "pixel data truncated"),
+    (b"P5\n-1 4\n255\n", "slice is -1x4, needs at least one pixel"),
+    (b"P5\n-1 -1\n255\n", "slice is -1x-1, needs at least one pixel"),
+    (b"P5\n0 0\n255\n", "slice is 0x0, needs at least one pixel"),
+], ids=["p2", "header", "maxval-16-bit", "maxval-0", "data", "width-negative",
+        "both-negative", "no-pixels"])
+def test_malformed_pgm(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    write_manifest(tmp_path / "manifest.json", ["bad.pgm"])
+    with pytest.raises(ValueError) as exc:
+        load_stack(tmp_path / "manifest.json")
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
 def test_pgm_comment_header(tmp_path):
     body = np.array([[255, 0]], dtype=np.uint8)
     (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n2 1\n255\n" + body.tobytes())

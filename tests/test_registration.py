@@ -568,6 +568,8 @@ def test_partition_indices_split():
     x = cloud.points[:, 0]
     assert x[bins[0]].max() <= x[bins[1]].min()
     assert x[bins[1]].max() <= x[bins[2]].min()
+    with pytest.raises(ValueError, match="at least 1"):
+        partition_indices(cloud, 0)
 
 
 def test_partition_one_equals_csn():
@@ -649,6 +651,27 @@ def test_partition_two_equals_csn_per_bin(monkeypatch):
     assert report.per_iteration_rmse == list(want)
     assert report.accepted_pairs == sum(r.accepted_pairs for r in per_bin)
     assert report.rejected_pairs == sum(r.rejected_pairs for r in per_bin)
+
+
+def test_partition_register_bins_the_source_once(monkeypatch):
+    source, target, _, _ = two_motion_instance(12, n=800, angle_deg=6.0)
+    calls, split = [], registration.partition_indices
+
+    def counted(cloud, partitions):
+        calls.append(partitions)
+        return split(cloud, partitions)
+
+    monkeypatch.setattr(registration, "partition_indices", counted)
+    partition_register(source, target, CsnIcpConfig(partitions=2))
+    assert calls == [2]
+
+
+def test_icp_classic_rejects_an_empty_cloud():
+    cloud = make_phantom(PhantomSpec("ellipsoid", 300, 11))
+    empty = PointCloud(np.empty((0, 3)))
+    for source, target in ((empty, cloud), (cloud, empty)):
+        with pytest.raises(ValueError, match="non-empty"):
+            icp_classic(source, target)
 
 
 def test_partition_bin_too_small():

@@ -45,8 +45,9 @@ def test_splitmix_golden_stream():
 
 @pytest.mark.parametrize("n, keep_fraction, noise_sigma", [
     (997, 0.7, 0.0), (997, 0.9, 0.01), (997, 0.001, 0.01), (997, 996 / 997, 0.01),
-    (2, 0.5, 0.01),
-], ids=["keep-0.7", "keep-0.9-noise", "keep-1-noise", "keep-n-1-noise", "n-2-noise"])
+    (2, 0.5, 0.01), (1, 0.6, 0.01),
+], ids=["keep-0.7", "keep-0.9-noise", "keep-1-noise", "keep-n-1-noise", "n-2-noise",
+        "n-1-noise"])
 def test_perturb_subsample_matches_reference_shuffle(n, keep_fraction, noise_sigma):
     cloud = (make_phantom(PhantomSpec("ellipsoid", n, 2)) if n >= 100
              else PointCloud(np.arange(3.0 * n).reshape(n, 3)))
