@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import PointCloud, load_xyz, save_xyz
-from .mask_io import SliceStack, StackManifest, load_stack, write_stack
-from .metrics import evaluate_slices, overlap_report_to_dict, RasterGrid, reslice, slice_bands
+from .mask_io import load_stack, numbered_stack, write_stack
+from .metrics import band_plan, evaluate_slices, overlap_report_to_dict, reslice
 # csn_icp is unused here but stays: bench/tracing.py patches cli.csn_icp by name
 from .registration import (CsnIcpConfig, RegistrationError, csn_icp, icp_classic,
                            partition_indices, partition_register, report_to_dict)
@@ -156,22 +156,17 @@ def cmd_reslice(args) -> int:
         raise CliError("--slices must be at least 1")
     cloud = load_xyz(args.cloud)
     lo, hi = cloud.bounding_box()  # raises on an empty cloud
-    grid = RasterGrid.covering(lo, hi, args.pixel_pitch, args.closing_iters)
+    # --z-center replaces the planned bands with its one band, so plan one
+    slices = args.slices if args.z_center is None else 1
+    centers, thickness, grid = band_plan(lo, hi, slices, args.thickness,
+                                         args.pixel_pitch, args.closing_iters)
     if args.z_center is not None:
         if args.thickness is None:
             raise CliError("--thickness is required with --z-center")
         centers = [args.z_center]
-        thickness = args.thickness
-    else:
-        centers, step = slice_bands(lo[2], hi[2], args.slices)
-        thickness = args.thickness if args.thickness is not None else step
     bits = np.stack([reslice(cloud, zc, thickness, grid, args.closing_iters).bits
                      for zc in centers])
-    manifest = StackManifest(modality=args.modality, pixel_spacing_mm=grid.pixel_pitch,
-                             slice_spacing_mm=thickness,
-                             slice_files=tuple(f"slice_{i:04d}.pgm"
-                                               for i in range(len(bits))))
-    path = write_stack(SliceStack(manifest, bits), args.out)
+    path = write_stack(numbered_stack(bits, args.modality, grid.pixel_pitch, thickness), args.out)
     print(f"wrote {len(bits)} slice masks to {path.parent}")
     return 0
 

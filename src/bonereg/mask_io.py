@@ -86,6 +86,15 @@ class SliceStack:
         return self.manifest == other.manifest and np.array_equal(self.bits, other.bits)
 
 
+def numbered_stack(bits, modality: str, pixel_spacing_mm: float,
+                   slice_spacing_mm: float) -> SliceStack:
+    """A stack of the (slice, row, col) bits whose files are named
+    slice_0000.pgm, slice_0001.pgm, ... in slice order."""
+    names = tuple(f"slice_{i:04d}.pgm" for i in range(len(bits)))
+    return SliceStack(StackManifest(modality, float(pixel_spacing_mm),
+                                    float(slice_spacing_mm), names), bits)
+
+
 def _read_pgm(path: Path) -> np.ndarray:
     raw = path.read_bytes()
     if raw[:2] != b"P5":

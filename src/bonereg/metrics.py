@@ -1,6 +1,12 @@
 """Evaluation metrics: confusion-matrix overlap scores, point-cloud RMSE,
 and slice-level region disagreement computed on resliced masks.
 
+One band plan (band_plan) lays out the z bands and the raster grid for
+both evaluate_slices and the reslice command. evaluate_slices checks its
+arguments through that plan and the first reslice before it builds the
+target's k-d tree, and computes the RMSE last, so a refused call never
+imports scipy.
+
 Masks are closed in numpy (binary_close): each pass of the square is a
 window sweep along rows, then columns, over fixed-size blocks of lines,
 so closing holds the result plus one block's temporaries."""
@@ -164,16 +170,40 @@ class RasterGrid:
             extent = max(hi[0] - lo[0], hi[1] - lo[1])
             pixel_pitch = extent / 128.0 if extent > 0 else 1.0
         margin = closing_iterations + 1
-        # counted in Python floats, so a span that overflows is inf, not an
-        # error; a margin past the cap fails it at any size, so it is clamped
-        # before it meets a float
+        width, height = cls.size_covering(lo, hi, pixel_pitch, margin)
+        return cls(width, height, pixel_pitch,
+                   (lo[0] - margin * pixel_pitch, lo[1] - margin * pixel_pitch))
+
+    @classmethod
+    def size_covering(cls, lo, hi, pixel_pitch: float, margin: int) -> tuple[int, int]:
+        """Width and height of the grid at pixel_pitch whose pixel columns
+        and rows floor((x - lo) / pixel_pitch) cover the x-y box lo..hi,
+        plus margin pixels on every side; a ValueError naming the size if
+        that is over MAX_PIXELS. Counted in Python floats, so a span that
+        overflows is inf, not an error; a margin past the cap fails it at
+        any size, so it is clamped before it meets a float."""
         width, height = (np.floor(float(hi[i] - lo[i]) / pixel_pitch) + 1
                          + 2 * min(margin, cls.MAX_PIXELS) for i in (0, 1))
         if width * height > cls.MAX_PIXELS:
-            raise ValueError(f"pixel pitch {pixel_pitch:g} with {closing_iterations} closing "
-                             f"iterations needs more than {cls.MAX_PIXELS} pixels")
-        return cls(int(width), int(height), pixel_pitch,
-                   (lo[0] - margin * pixel_pitch, lo[1] - margin * pixel_pitch))
+            raise ValueError(f"{width:.0f} x {height:.0f} grid at pixel pitch {pixel_pitch:g}"
+                             f" with a {margin}-pixel margin: over {cls.MAX_PIXELS} pixels")
+        return int(width), int(height)
+
+
+def band_plan(lo, hi, slice_count: int, thickness: float | None = None,
+              pixel_pitch: float | None = None,
+              closing_iterations: int = 2) -> tuple[list[float], float, RasterGrid]:
+    """The bands scored over the box lo..hi: the centres of slice_count
+    bands tiling its z range at step span / slice_count (1 if flat), the
+    band thickness (the step unless given) and the RasterGrid.covering
+    grid. thickness itself is checked by reslice."""
+    if slice_count < 1:
+        raise ValueError("slice_count must be at least 1")
+    span = hi[2] - lo[2]
+    step = span / slice_count if span > 0 else 1.0
+    grid = RasterGrid.covering(lo, hi, pixel_pitch, closing_iterations)
+    centres = [lo[2] + (i + 0.5) * step for i in range(slice_count)]
+    return centres, step if thickness is None else thickness, grid
 
 
 def reslice(cloud: PointCloud, z_center: float, thickness: float,
@@ -212,15 +242,6 @@ def d_mr_d_ct(mr_mask: SliceMask, ct_mask: SliceMask) -> tuple[float, float]:
     return _outside(c.tp, c.tp + c.fp), _outside(c.tp, c.tp + c.fn)
 
 
-def slice_bands(z_lo: float, z_hi: float, slice_count: int) -> tuple[list[float], float]:
-    """Centres of slice_count bands tiling [z_lo, z_hi] and their step (1 if flat)."""
-    if slice_count < 1:
-        raise ValueError("slice_count must be at least 1")
-    span = z_hi - z_lo
-    step = span / slice_count if span > 0 else 1.0
-    return [z_lo + (i + 0.5) * step for i in range(slice_count)], step
-
-
 @dataclass
 class OverlapReport:
     """Aggregate slice-overlap scores plus the cloud RMSE. iou and dice
@@ -250,22 +271,25 @@ def evaluate_slices(moving: PointCloud, target: PointCloud,
                     slice_count: int = 8, thickness: float | None = None,
                     pixel_pitch: float | None = None,
                     closing_iterations: int = 2) -> OverlapReport:
-    """Reslice both clouds over the joint z range and score the overlap.
+    """Reslice both clouds over their joint bounding box and score the
+    overlap.
 
     The moving (MR-side) cloud plays the predicted region, the target
-    (CT-side) cloud the reference. Bands tile the joint z range
-    (slice_bands); the default thickness equals the band step, the
-    default pixel pitch is 1/128 of the larger x-y extent. A band's areas
-    and intersection are its confusion counts tp + fp, tp + fn and tp.
+    (CT-side) cloud the reference. band_plan lays the bands and grid over
+    the joint box: the bands tile its z range, the default thickness
+    equals the band step, the default pixel pitch is 1/128 of the larger
+    x-y extent. A band's areas and intersection are its confusion counts
+    tp + fp, tp + fn and tp.
+
+    band_plan and the first reslice check every argument, so a bad one is
+    refused before the target's k-d tree is built: the RMSE comes last.
     """
-    rmse_value = rmse(moving, target)
-    all_pts = np.vstack([moving.points, target.points])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
-    centers, step = slice_bands(lo[2], hi[2], slice_count)
-    if thickness is None:
-        thickness = step
-    grid = RasterGrid.covering(lo, hi, pixel_pitch, closing_iterations)
+    if len(moving) == 0 or len(target) == 0:
+        raise ValueError("empty cloud")
+    (lo_m, hi_m), (lo_t, hi_t) = moving.bounding_box(), target.bounding_box()
+    centers, thickness, grid = band_plan(np.minimum(lo_m, lo_t), np.maximum(hi_m, hi_t),
+                                         slice_count, thickness, pixel_pitch,
+                                         closing_iterations)
     agg = np.zeros(4, dtype=np.int64)
     rows = []
     mr_vals = []
@@ -287,4 +311,4 @@ def evaluate_slices(moving: PointCloud, target: PointCloud,
         raise ValueError("no slice contains bone content")
     return OverlapReport(iou=iou(total), dice=dice(total),
                          d_mr=float(np.mean(mr_vals)), d_ct=float(np.mean(ct_vals)),
-                         rmse=rmse_value, per_slice=rows)
+                         rmse=rmse(moving, target), per_slice=rows)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .mask_io import SliceStack, StackManifest, _field
-from .metrics import binary_close
+from .mask_io import SliceStack, _field, numbered_stack
+from .metrics import RasterGrid, binary_close
 from .registration import RigidTransform
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -250,30 +250,25 @@ def voxelize_to_stack(cloud: PointCloud, pixel_pitch: float, slice_spacing: floa
     own by one binary_close call to form solid regions.
 
     The in-plane border is padded by closing_iterations pixels so the
-    closing never clips at the image edge."""
+    closing never clips at the image edge. The slice size comes from the
+    cloud's x-y extent (RasterGrid.size_covering), and a slice over
+    RasterGrid.MAX_PIXELS is refused before any point is binned; the
+    slice count is not bounded."""
     if not (pixel_pitch > 0 and slice_spacing > 0):
         raise ValueError("pitches must be positive")
     if len(cloud) == 0:
         raise ValueError("empty cloud")
+    lo, hi = cloud.bounding_box()
+    margin = max(closing_iterations, 0)
+    width, height = RasterGrid.size_covering(lo, hi, pixel_pitch, margin)
     pts = cloud.points
-    lo = pts.min(axis=0)
     ix = np.floor((pts[:, 0] - lo[0]) / pixel_pitch).astype(int)
     iy = np.floor((pts[:, 1] - lo[1]) / pixel_pitch).astype(int)
     iz = np.floor((pts[:, 2] - lo[2]) / slice_spacing).astype(int)
-    margin = max(closing_iterations, 0)
-    width = int(ix.max()) + 1 + 2 * margin
-    height = int(iy.max()) + 1 + 2 * margin
-    nz = int(iz.max()) + 1
-    volume = np.zeros((nz, height, width), dtype=np.uint8)
+    volume = np.zeros((int(iz.max()) + 1, height, width), dtype=np.uint8)
     volume[iz, iy + margin, ix + margin] = 1
-    volume = binary_close(volume, closing_iterations)
-    manifest = StackManifest(
-        modality=modality,
-        pixel_spacing_mm=float(pixel_pitch),
-        slice_spacing_mm=float(slice_spacing),
-        slice_files=tuple(f"slice_{z:04d}.pgm" for z in range(nz)),
-    )
-    return SliceStack(manifest, volume)
+    return numbered_stack(binary_close(volume, closing_iterations), modality,
+                          pixel_pitch, slice_spacing)
 
 
 def _floats(value) -> tuple[float, ...]:

@@ -365,6 +365,9 @@ def test_reslice_command(tmp_path, capsys):
     ("reslice", ["--closing-iters", 10**400], "pixels"),
     # one band at --z-center has no default thickness
     ("reslice", ["--z-center", 0.0], "--thickness is required with --z-center"),
+    ("evaluate", ["--slices", 0], "slice_count"),
+    # bands too thin to hold a point leave every mask empty
+    ("evaluate", ["--thickness", 1e-12], "no slice contains bone content"),
 ])
 def test_grid_arguments_exit_1(tmp_path, capsys, command, flags, message):
     save_xyz(make_phantom(PhantomSpec("ellipsoid", 300, 6)), tmp_path / "c.xyz")
@@ -379,6 +382,15 @@ def test_grid_arguments_exit_1(tmp_path, capsys, command, flags, message):
     assert code == 1
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_oversized_voxel_slice_exit_1(tmp_path, capsys):
+    pp, vp = write_specs(tmp_path)
+    code, _, err = run(["synth", pp, vp, "--out", tmp_path / "s",
+                        "--voxelize", 1e-4, 1e-4], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "over 16777216 pixels" in err
+    assert not (tmp_path / "s" / "phantom_stack").exists()
 
 
 def test_load_xyz_ragged_rows_name_the_line(tmp_path):
@@ -448,3 +460,15 @@ def test_commands_without_an_index_leave_scipy_out(tmp_path, fresh_python):
     assert [loaded for _, loaded in steps[:3]] == [[], [], []]
     # register builds a k-d tree, so the probe does see scipy.spatial load
     assert "scipy.spatial" in steps[3][1]
+
+
+def test_refused_evaluate_leaves_scipy_out(tmp_path, fresh_python):
+    # band_plan and the first reslice check every argument before the
+    # target's k-d tree is built, so a refusal never loads scipy
+    save_xyz(make_phantom(PhantomSpec("ellipsoid", 300, 6)), tmp_path / "c.xyz")
+    evaluate = ["evaluate", tmp_path / "c.xyz", tmp_path / "c.xyz", "--out", tmp_path / "o"]
+    bad = [["--pixel-pitch", 0], ["--slices", 0], ["--thickness", "inf"],
+           ["--closing-iters", -1]]
+    doc = json.dumps([[str(a) for a in evaluate + flags] for flags in bad])
+    steps = json.loads(fresh_python(SCIPY_PROBE, doc).splitlines()[-1])
+    assert steps == [[1, []]] * len(bad)

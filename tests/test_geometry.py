@@ -83,6 +83,18 @@ def test_cloud_drops_float_duplicates_like_unique(monkeypatch, kind):
     assert (dropped > 0) == (kind in ("planted-duplicates", "signed-zero-x"))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PointCloud(np.zeros((4, 2))), "points must have shape"),
+    (lambda: PointCloud(np.zeros(3)), "points must have shape"),
+    (lambda: PointCloud(np.zeros((0, 3))).bounding_box(), "empty cloud has no bounding box"),
+    (lambda: SpatialIndex(np.zeros((4, 2))), "index needs points of shape"),
+    (lambda: SpatialIndex(np.zeros((2, 3, 3))), "index needs points of shape"),
+], ids=["cloud-2-columns", "cloud-1d", "empty-bounding-box", "index-2-columns", "index-3d"])
+def test_cloud_and_index_refuse_bad_shapes(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("rows", [
     [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]],
     [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [0.0, 1.0, 2.0]],

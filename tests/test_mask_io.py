@@ -94,6 +94,9 @@ def test_mask_validation():
         SliceMask(bits=np.array([[0, 2]]))
     assert SliceMask(np.eye(2)) == SliceMask(np.eye(2, dtype=bool))
     assert SliceMask(np.eye(2)) != SliceMask(np.zeros((2, 2)))
+    # a non-mask is never equal, whatever it holds
+    assert SliceMask(np.eye(2)) != "mask"
+    assert SliceMask.__eq__(SliceMask(np.eye(2)), np.eye(2)) is NotImplemented
 
 
 def test_stack_invariants():
@@ -105,6 +108,9 @@ def test_stack_invariants():
     for n in (1, 3):
         with pytest.raises(ValueError, match="count"):
             SliceStack(manifest, np.zeros((n, 2, 2)))
+    stack = SliceStack(manifest, np.zeros((2, 2, 2)))
+    assert stack != stack.manifest
+    assert SliceStack.__eq__(stack, stack.bits) is NotImplemented
 
 
 def names(n):

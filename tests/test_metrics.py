@@ -6,6 +6,7 @@ import pytest
 from bonereg import (ConfusionCounts, PointCloud, RasterGrid, RigidTransform,
                      SliceMask, binary_close, confusion,
                      d_mr_d_ct, dice, evaluate_slices, iou, metrics, reslice, rmse)
+from bonereg.metrics import band_plan
 
 
 def mask(bits):
@@ -288,6 +289,31 @@ def test_reslice_band_selection():
 def test_grid_past_the_pixel_cap_is_refused(width, height):
     with pytest.raises(ValueError, match="pixels"):
         RasterGrid(width, height, 1.0)
+
+
+@pytest.mark.parametrize("width, height, pitch, message", [
+    (0, 4, 1.0, "grid dimensions must be positive"),
+    (4, -1, 1.0, "grid dimensions must be positive"),
+    (4, 4, 0.0, "pixel pitch must be positive"),
+    (4, 4, np.nan, "pixel pitch must be positive"),
+])
+def test_grid_refuses_a_bad_size_or_pitch(width, height, pitch, message):
+    with pytest.raises(ValueError, match=message):
+        RasterGrid(width, height, pitch)
+
+
+def test_band_plan_tiles_the_z_range():
+    lo, hi = np.array([0.0, 0.0, -1.0]), np.array([2.0, 1.0, 3.0])
+    centres, thickness, grid = band_plan(lo, hi, 4)
+    assert centres == [-0.5, 0.5, 1.5, 2.5] and thickness == 1.0
+    assert grid == RasterGrid.covering(lo, hi)
+    # a flat z range steps by 1; a given thickness, pitch and closing pass through
+    flat = np.array([2.0, 1.0, -1.0])
+    centres, thickness, grid = band_plan(lo, flat, 2, 0.3, 0.5, 0)
+    assert centres == [-0.5, 0.5] and thickness == 0.3
+    assert grid == RasterGrid.covering(lo, flat, 0.5, 0)
+    with pytest.raises(ValueError, match="slice_count must be at least 1"):
+        band_plan(lo, hi, 0)
 
 
 def test_grid_at_the_pixel_cap_constructs():

@@ -28,6 +28,10 @@ def test_transform_validation():
     refl = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError, match="determinant"):
         RigidTransform(refl, np.zeros(3))
+    with pytest.raises(ValueError, match="rotation must be 3x3"):
+        RigidTransform(np.eye(2), np.zeros(3))
+    with pytest.raises(ValueError, match="rotation axis must be nonzero"):
+        RigidTransform.from_axis_angle((0.0, 0.0, 0.0), 0.5)
 
 
 def test_transform_algebra():
@@ -95,6 +99,9 @@ def test_solve_rigid_pure_translation():
 
 
 def test_solve_rigid_degenerate():
+    for shapes in (((4, 2), (4, 2)), ((4, 3), (5, 3)), ((12,), (12,))):
+        with pytest.raises(ValueError, match="point lists must both have shape"):
+            solve_rigid(*map(np.zeros, shapes))
     with pytest.raises(DegenerateGeometryError, match="at least 3"):
         solve_rigid(np.zeros((2, 3)), np.zeros((2, 3)))
     line = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])

@@ -168,6 +168,8 @@ def test_phantom_spec_validation():
         PhantomSpec("ellipsoid", 50, 1)
     with pytest.raises(ValueError):
         PhantomSpec("ellipsoid", 500, 1, semi_axes=(1.0, -1.0, 1.0))
+    with pytest.raises(ValueError, match="lobe_offset must be a 3-vector"):
+        PhantomSpec("two_lobe_pelvis", 500, 1, lobe_offset=(0.6, 0.0))
 
 
 def test_perturb_identity():
@@ -230,6 +232,15 @@ def test_perturb_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(rotation_axis=(1.0, 0.0, 0.0), rotation_angle=0.0,
                          translation=(0, 0, 0), noise_sigma=-1.0)
+    with pytest.raises(ValueError, match="rotation_axis must be a 3-vector"):
+        PerturbationSpec(rotation_axis=(1.0, 0.0), rotation_angle=0.0, translation=(0, 0, 0))
+    with pytest.raises(ValueError, match="translation must be a 3-vector"):
+        PerturbationSpec(rotation_axis=(1.0, 0.0, 0.0), rotation_angle=0.0,
+                         translation=(0, 0, 0, 0))
+    with pytest.raises(ValueError, match="empty cloud"):
+        perturb(PointCloud(np.zeros((0, 3))),
+                PerturbationSpec(rotation_axis=(1.0, 0.0, 0.0), rotation_angle=0.0,
+                                 translation=(0, 0, 0)))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -306,6 +317,30 @@ def test_voxelize_matches_per_slice_reference(closing_iterations):
 def test_voxelize_empty_cloud():
     with pytest.raises(ValueError, match="empty"):
         voxelize_to_stack(PointCloud(np.zeros((0, 3))), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("pixel_pitch, slice_spacing", [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0)])
+def test_voxelize_refuses_bad_pitches(pixel_pitch, slice_spacing):
+    cloud = PointCloud(np.array([[0.3, 0.7, 0.1]]))
+    with pytest.raises(ValueError, match="pitches must be positive"):
+        voxelize_to_stack(cloud, pixel_pitch, slice_spacing)
+
+
+def test_voxelize_refuses_an_oversized_slice():
+    """A slice over RasterGrid.MAX_PIXELS is refused from the cloud's x-y
+    extent before a point is binned (at pitch 1e-4 the phantom needs
+    about 2e4 x 2e4 pixels a slice). The slice count is not bounded: a
+    fine slice spacing over a small slice still makes a deep stack."""
+    cloud = make_phantom(PhantomSpec("ellipsoid", 300, 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^\d+ x \d+ grid at pixel pitch 0\.0001 "
+                                             r"with a 2-pixel margin: over 16777216 pixels$"):
+            voxelize_to_stack(cloud, 1e-4, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def hausdorff(a, b):

@@ -140,6 +140,19 @@ def test_surface_matches_oracle_random():
     assert np.allclose(cloud.points, expected)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MaskVolume(np.zeros((2, 2, 2)), (1.0, 0.0, 1.0)), "voxel pitches"),
+    (lambda: MaskVolume(np.zeros((2, 2, 2)), (1.0, 1.0)), "voxel pitches"),
+    (lambda: extract_surface(MaskVolume(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0)), "shell"),
+     "mode must be one of"),
+    (lambda: build_point_cloud(ball_stack(), 0.0), "in_plane_scale must be positive"),
+    (lambda: build_point_cloud(ball_stack(), np.nan), "in_plane_scale must be positive"),
+], ids=["zero-pitch", "two-pitches", "surface-mode", "zero-scale", "nan-scale"])
+def test_volume_refuses_bad_arguments(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_surface_empty_volume():
     vol = MaskVolume(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0))
     assert len(extract_surface(vol)) == 0
