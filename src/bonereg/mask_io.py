@@ -42,7 +42,11 @@ def _binary(bits, ndim: int, what: str) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != ndim:
         raise ValueError(f"{what} bits must be {ndim}D")
-    if not ((bits == 0) | (bits == 1)).all():
+    if bits.dtype.kind in "biu":  # min and max make no full-size temporary
+        binary = bits.size == 0 or (bits.min() >= 0 and bits.max() <= 1)
+    else:
+        binary = ((bits == 0) | (bits == 1)).all()
+    if not binary:
         raise ValueError(f"{what} bits must contain only 0/1 values")
     out = bits.astype(np.uint8, order="C")
     out.flags.writeable = False
@@ -113,7 +117,11 @@ def _read_pgm(path: Path) -> np.ndarray:
             pos += 1
         if start == pos:
             raise ValueError(f"{path}: truncated PGM header")
-        header.append(int(raw[start:pos]))
+        try:
+            header.append(int(raw[start:pos]))
+        except ValueError:
+            raise ValueError(f"{path}: PGM header value {raw[start:pos]!r} "
+                             "is not an integer") from None
     pos += 1  # single whitespace byte terminating the header
     width, height, maxval = header
     if width < 1 or height < 1:

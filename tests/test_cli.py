@@ -342,6 +342,23 @@ def test_reslice_command(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_reslice_peak_memory(tmp_path, capsys):
+    """400 bands of a 3,000-point ellipsoid make a 7.2 MB (400, 134, 135)
+    stack; checking its 0/1 bits adds no full-size temporary, which keeps
+    the traced peak near two copies of the stack (about 14 MiB)."""
+    save_xyz(make_phantom(PhantomSpec("ellipsoid", 3000, 1)), tmp_path / "c.xyz")
+    argv = ["reslice", tmp_path / "c.xyz", "--out", tmp_path / "s", "--slices", 400]
+    assert run(argv, capsys)[0] == 0  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        code, _, err = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 16 << 20
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, flags, message", [
     ("evaluate", ["--pixel-pitch", 0], "pixel pitch"),

@@ -81,6 +81,28 @@ def test_knn_batch_matches_scan(case):
     assert np.array_equal(got, want)
 
 
+# every point of a 4 x 4 x 4 lattice; at k = 9 the 9th distance from a
+# lattice point (12 at sqrt 2) or a cell centre (24 at sqrt 2.75) ties
+# past the window of k + 8, and a cell centre's 8 nearest tie for nearest
+LATTICE = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def test_tie_fallback_takes_its_balls_from_ball_batch(monkeypatch):
+    queries = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 2.0], [1.5, 1.5, 1.5]])
+    index = SpatialIndex(LATTICE)
+    balls = []
+    ball_batch = SpatialIndex.ball_batch
+    monkeypatch.setattr(SpatialIndex, "ball_batch",
+                        lambda self, c, r: balls.append(len(c)) or ball_batch(self, c, r))
+    got = index.knn_batch(queries, 9)
+    assert got.tolist() == [brute_knn(LATTICE, q, 9).tolist() for q in queries]
+    assert balls == [3]
+    idx, dist, _ = index.nearest(queries)
+    assert idx.tolist() == [brute_knn(LATTICE, q, 1)[0] for q in queries]
+    assert dist.tolist() == [0.0, 0.0, 0.75 ** 0.5]
+    assert balls == [3, 1]
+
+
 @example(EQUIDISTANT)
 @given(nearest_cases())
 def test_nearest_matches_scan_and_tree(case):

@@ -127,10 +127,11 @@ def test_binary_bits_check(make, ndim, what):
     for wrong in (shape[:-1], shape + (1,)):
         with pytest.raises(ValueError, match=f"^{what} bits must be {ndim}D$"):
             make(np.zeros(wrong, dtype=np.uint8))
-    two = np.zeros(shape, dtype=np.uint8)
-    two.flat[-1] = 2
-    with pytest.raises(ValueError, match=f"^{what} bits must contain only 0/1 values$"):
-        make(two)
+    for dtype, value in ((np.uint8, 2), (np.int8, -1), (float, 0.5), (float, np.nan)):
+        wrong_bits = np.zeros(shape, dtype=dtype)
+        wrong_bits.flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{what} bits must contain only 0/1 values$"):
+            make(wrong_bits)
     for dtype in (bool, np.uint8):
         given_bits = (np.arange(np.prod(shape)).reshape(shape) % 3 == 0).astype(dtype)
         kept = make(given_bits).bits
@@ -199,8 +200,9 @@ def test_load_preserves_manifest_order(tmp_path):
     (b"P5\n-1 4\n255\n", "slice is -1x4, needs at least one pixel"),
     (b"P5\n-1 -1\n255\n", "slice is -1x-1, needs at least one pixel"),
     (b"P5\n0 0\n255\n", "slice is 0x0, needs at least one pixel"),
+    (b"P5\nabc 1\n255\n", "PGM header value b'abc' is not an integer"),
 ], ids=["p2", "header", "maxval-16-bit", "maxval-0", "data", "width-negative",
-        "both-negative", "no-pixels"])
+        "both-negative", "no-pixels", "not-an-integer"])
 def test_malformed_pgm(tmp_path, raw, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)
